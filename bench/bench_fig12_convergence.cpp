@@ -7,7 +7,9 @@
 
 #include "bench_common.h"
 #include "core/strategies.h"
+#include "fleet/wave_planner.h"
 #include "obs/profiler.h"
+#include "util/checksum.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -80,6 +82,13 @@ int main(int argc, char** argv) {
                 static_cast<double>(outcome.candidate_evaluations) / wall_s);
     summary.set("speedup_vs_1_thread", wall_1 / wall_s);
     summary.set("identical_result", identical);
+    // Result-identity gate: FNV-1a over the final configuration and the
+    // bit pattern of the final utility. Performance work on the evaluation
+    // path must leave it unchanged (bench_regress.py "eq" rule).
+    summary.set("result_fingerprint",
+                static_cast<std::int64_t>(fleet::plan_fingerprint(
+                    outcome.plan.search.config, outcome.plan.search.utility,
+                    util::kFnv1aOffsetBasis)));
     summary.write_file(json_path);
     std::cout << "JSON summary written to " << json_path << '\n';
   }

@@ -76,12 +76,18 @@ SPECS = {
     },
     "BENCH_fig12_index.json": {
         "candidate_evaluations": "eq",
+        # Final configuration + utility bit pattern: evaluation-path
+        # speedups must leave the plan bit-identical.
+        "result_fingerprint": "eq",
         "identical_result": "true",
         "wall_s": "time",
         "evals_per_sec": "rate",
     },
     "BENCH_fig12_noindex.json": {
         "candidate_evaluations": "eq",
+        # Final configuration + utility bit pattern: evaluation-path
+        # speedups must leave the plan bit-identical.
+        "result_fingerprint": "eq",
         "identical_result": "true",
         "wall_s": "time",
         "evals_per_sec": "rate",

@@ -45,6 +45,10 @@ metrics = json.load(open(f"{d}/metrics.json"))
 assert metrics["counters"]["evaluator.evals"] > 0, "no evaluator metrics"
 assert any(k.startswith("evaluator.worker.") for k in metrics["counters"]), \
     "no per-worker counters"
+# Joint tuning leaves the indexed tilt planes, so the off-index fallback
+# health counter must be present and nonzero.
+assert metrics["counters"].get("model.kernel.offindex_recomputes", 0) > 0, \
+    "no off-index fallback counter"
 trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events, "empty trace"

@@ -25,24 +25,43 @@ double evaluate_utility(const model::EvalContext& context,
                               context.options().min_service_sinr_db,
                               scratch.cqi, scratch.load);
 
-  // Pass 2: UE-weighted utility with shared rates (Formula 4). The
-  // CQI -> peak-rate mapping only has 16 values, so it is hoisted into a
-  // table and the per-cell work is a lookup plus the scheduler share.
+  // Pass 2: UE-weighted utility with shared rates (Formula 4). A cell's
+  // per-UE term u(shared_rate(r_max(q), N(s))) depends only on its serving
+  // sector s and CQI q, so it is memoized per (s, q): the scheduler share
+  // and the utility (a log for Formula 6) run at most sectors x 15 times
+  // instead of once per served cell. u is a pure function of the rate, so
+  // each memoized term is the exact double the per-cell call would return,
+  // and the cell-order accumulation below keeps the sum bit-identical.
   std::array<double, lte::kCqiLevels + 1> rate_for_cqi{};
   for (lte::Cqi cqi = 1; cqi <= lte::kCqiLevels; ++cqi) {
     rate_for_cqi[static_cast<std::size_t>(cqi)] =
         lte::max_rate_bps_for_cqi(cqi, bandwidth);
   }
+  enum : std::uint8_t { kUnset = 0, kSkip = 1, kSet = 2 };
+  constexpr auto kLevels = static_cast<std::size_t>(lte::kCqiLevels);
+  scratch.memo.resize(sectors * kLevels);
+  scratch.memo_state.assign(sectors * kLevels, kUnset);
   const model::GridState& state = context.state();
   double total = 0.0;
   for (std::size_t i = 0; i < cells; ++i) {
     if (scratch.cqi[i] <= 0 || ue[i] <= 0.0) continue;
-    const net::SectorId s = state.best[i];
-    const double max_rate =
-        rate_for_cqi[static_cast<std::size_t>(scratch.cqi[i])];
-    const double rate = scheduler.shared_rate_bps(
-        max_rate, scratch.load[static_cast<std::size_t>(s)]);
-    if (rate > 0.0) total += ue[i] * utility.per_ue(rate);
+    const auto s = static_cast<std::size_t>(state.best[i]);
+    const auto q = static_cast<std::size_t>(scratch.cqi[i]);
+    const std::size_t slot = s * kLevels + (q - 1);
+    std::uint8_t& memo_state = scratch.memo_state[slot];
+    if (memo_state == kUnset) {
+      // A shared rate of 0 (e.g. an overhead-aware scheduler saturated by
+      // the sector's load) is out of service: the cell contributes nothing.
+      const double rate =
+          scheduler.shared_rate_bps(rate_for_cqi[q], scratch.load[s]);
+      if (rate > 0.0) {
+        scratch.memo[slot] = utility.per_ue(rate);
+        memo_state = kSet;
+      } else {
+        memo_state = kSkip;
+      }
+    }
+    if (memo_state == kSet) total += ue[i] * scratch.memo[slot];
   }
   return total;
 }

@@ -21,6 +21,11 @@ namespace magus::core {
 struct EvalScratch {
   std::vector<std::int8_t> cqi;
   std::vector<double> load;
+  /// Per-(serving sector, CQI) memo of the per-UE utility term, slot
+  /// s * kCqiLevels + (q - 1). Valid only where memo_state says so; every
+  /// evaluation resets memo_state, so nothing carries over between calls.
+  std::vector<double> memo;
+  std::vector<std::uint8_t> memo_state;
 };
 
 /// Overall utility of the context's *current* state: the UE-weighted sum

@@ -30,6 +30,9 @@ class Utility {
 
   /// Custom per-UE utility. `u` receives the actual rate in bit/s and is
   /// only called with positive rates; out-of-service UEs contribute 0.
+  /// `u` must be a pure function of the rate (same rate, same double, no
+  /// side effects): the evaluator calls it once per distinct (serving
+  /// sector, CQI) pair and reuses the result for every cell sharing it.
   Utility(std::string name, std::function<double(double)> u);
 
   /// Per-UE utility of a positive rate. Requires rate_bps > 0 (callers

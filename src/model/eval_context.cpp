@@ -27,6 +27,16 @@ namespace {
   if (rp_a != rp_b) return rp_a > rp_b;
   return a < b;
 }
+
+/// Cells re-ranked through recompute_top2's footprint fallback (index
+/// bound, some active sector at an unindexed tilt): the health counter for
+/// searches that keep leaving the indexed tilt planes. Added once per
+/// mutation, like model.kernel.recompute_cells.
+[[nodiscard]] obs::Counter& offindex_recomputes() {
+  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
+      "model.kernel.offindex_recomputes");
+  return counter;
+}
 }  // namespace
 
 EvalContext::EvalContext(const MarketContext* market) : market_(market) {
@@ -46,7 +56,7 @@ EvalContext::EvalContext(const MarketContext* market) : market_(market) {
 void EvalContext::set_use_coverage_index(bool enabled) {
   if (!enabled) {
     index_ = nullptr;
-    off_index_active_ = 0;
+    off_index_sectors_.clear();
     return;
   }
   index_ = market_->coverage_index();
@@ -59,10 +69,8 @@ void EvalContext::set_use_coverage_index(bool enabled) {
 }
 
 void EvalContext::sync_index_bookkeeping() {
-  if (index_ == nullptr) {
-    off_index_active_ = 0;
-    return;
-  }
+  off_index_sectors_.clear();
+  if (index_ == nullptr) return;
   // Refresh the flat per-sector mirrors in the same pass. O(sectors) is
   // noise next to the O(cells) state copies on every code path that calls
   // this, and it keeps the span scans free of Configuration/index gathers.
@@ -78,7 +86,6 @@ void EvalContext::sync_index_bookkeeping() {
     sector_plin_.assign(sector_count, 0.0);
   }
   double cap = -std::numeric_limits<double>::infinity();
-  int off = 0;
   for (const auto& sector : network().sectors()) {
     const auto& setting = config_[sector.id];
     const auto s = static_cast<std::size_t>(sector.id);
@@ -91,7 +98,7 @@ void EvalContext::sync_index_bookkeeping() {
     if (!setting.active) continue;
     const float* gains = index_->plane_gains(sector.id, setting.tilt);
     if (gains == nullptr) {
-      ++off;
+      off_index_sectors_.push_back(sector.id);
     } else {
       active_plane_[s] = gains;
       active_plane_mw_[s] = index_->plane_linear(sector.id, setting.tilt);
@@ -101,7 +108,6 @@ void EvalContext::sync_index_bookkeeping() {
     }
   }
   power_cap_ = cap;
-  off_index_active_ = off;
 }
 
 void EvalContext::set_configuration(const net::Configuration& config) {
@@ -131,7 +137,7 @@ void EvalContext::rebuild() {
   // to pick up an index the market rebuilt since this context bound it.
   if (index_ != nullptr) index_ = market_->coverage_index();
   sync_index_bookkeeping();
-  if (index_ != nullptr && off_index_active_ == 0) {
+  if (index_ != nullptr && off_index_sectors_.empty()) {
     static obs::Counter& sweeps =
         obs::MetricsRegistry::global().counter("model.rebuild.index_sweeps");
     sweeps.add(1);
@@ -355,9 +361,12 @@ void EvalContext::remove_contribution(
   static obs::Counter& recomputes =
       obs::MetricsRegistry::global().counter("model.kernel.recompute_cells");
   recomputes.add(demoted.size());
-  if (index_ != nullptr && off_index_active_ == 0) {
+  // Fetched up front so the counter is listed, at 0, in every report.
+  obs::Counter& offindex = offindex_recomputes();
+  if (index_ != nullptr && off_index_sectors_.empty()) {
     recompute_top2_batch(demoted);
   } else {
+    if (!off_index_sectors_.empty()) offindex.add(demoted.size());
     for (const geo::GridIndex g : demoted) recompute_top2(g);
   }
   invalidate_loads();
@@ -414,23 +423,20 @@ void EvalContext::recompute_top2(geo::GridIndex g) {
       offer(s, static_cast<float>(power[static_cast<std::size_t>(s)] + gain),
             row.cols[k]);
     }
-    if (off_index_active_ > 0) {
-      // Sectors at unindexed tilts are invisible to the span scan; probe
-      // their footprints directly. The counter may briefly over-count
-      // mid-mutation (harmless: the loop re-checks every predicate), but
-      // it never under-counts while recompute can run.
-      for (const auto& sector : network().sectors()) {
-        const auto& setting = config_[sector.id];
-        if (!setting.active ||
-            index_->sector_tilt_indexed(sector.id, setting.tilt)) {
-          continue;
-        }
-        const auto& fp = footprint_of(sector.id);
-        if (!fp.covers(g)) continue;
-        offer(sector.id,
-              static_cast<float>(setting.power_dbm + fp.gain_db(g)),
-              kFootprintCol);
+    // Sectors at unindexed tilts are invisible to the span scan; probe
+    // their footprints directly. Every path that changes a sector's
+    // activity or tilt resyncs the list before it can recompute, so the
+    // list is never missing a sector here; the loop still re-checks both
+    // predicates, so a stale extra entry would be skipped, not offered.
+    for (const net::SectorId s : off_index_sectors_) {
+      const auto& setting = config_[s];
+      if (!setting.active || index_->sector_tilt_indexed(s, setting.tilt)) {
+        continue;
       }
+      const auto& fp = footprint_of(s);
+      if (!fp.covers(g)) continue;
+      offer(s, static_cast<float>(setting.power_dbm + fp.gain_db(g)),
+            kFootprintCol);
     }
   } else {
     for (const auto& sector : network().sectors()) {
@@ -476,7 +482,7 @@ void EvalContext::recompute_top2_batch(
   // within a row and the runner-up only strengthens, so
   // float(cap + bound) < second_rp is monotone in k and the live mask
   // recomputed each step never readmits an exited lane. Callers guarantee
-  // the pure index fast path (index_ bound, off_index_active_ == 0), so
+  // the pure index fast path (index_ bound, off_index_sectors_ empty), so
   // the footprint fallback pass never applies here.
   namespace vx = util::simd;
   constexpr std::int32_t K = vx::kWidth;
@@ -591,6 +597,7 @@ void EvalContext::set_power(net::SectorId sector, double power_dbm) {
   // configuration (the equivalence tests rely on this). The mW delta uses
   // the same hoisted 10^(P/10) * linear products as add/remove, so the
   // old contribution cancels exactly.
+  std::size_t reranked = 0;
   fp.for_each_covered_linear([&](geo::GridIndex g, float gain, float linear) {
     const auto i = static_cast<std::size_t>(g);
     const auto new_rp = static_cast<float>(clamped + gain);
@@ -603,12 +610,14 @@ void EvalContext::set_power(net::SectorId sector, double power_dbm) {
       state_.best_mw[i] = new_mw;
       if (decreasing && beats(state_.second_rp_dbm[i], state_.second[i],
                               new_rp, sector)) {
+        ++reranked;
         recompute_top2(g);
       }
     } else if (state_.second[i] == sector) {
       state_.second_rp_dbm[i] = new_rp;
       if (decreasing) {
         // A third sector may now outrank the runner-up.
+        ++reranked;
         recompute_top2(g);
       } else if (beats(new_rp, sector, state_.best_rp_dbm[i],
                        state_.best[i])) {
@@ -620,6 +629,7 @@ void EvalContext::set_power(net::SectorId sector, double power_dbm) {
       offer_candidate(g, sector, new_rp, new_mw);
     }
   });
+  if (!off_index_sectors_.empty()) offindex_recomputes().add(reranked);
   invalidate_loads();
 }
 

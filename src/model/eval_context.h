@@ -160,9 +160,10 @@ class EvalContext {
   void rebuild();
   /// Grid-major CSR rebuild (requires every active sector on-index).
   void rebuild_index_sweep();
-  /// Recounts active sectors whose tilt has no index plane; they force
-  /// recompute_top2 onto the footprint-probe fallback and full rebuilds
-  /// onto the legacy sector-major path.
+  /// Re-collects the active sectors whose tilt has no index plane
+  /// (off_index_sectors_); they force recompute_top2 onto the
+  /// footprint-probe fallback and full rebuilds onto the legacy
+  /// sector-major path.
   void sync_index_bookkeeping();
   /// Approximate post-change actual rate of grid g when sector `changed`
   /// would be received at `changed_rp` and the cell's total received power
@@ -179,8 +180,8 @@ class EvalContext {
   /// Re-ranks the top-2 servers of one grid by scanning active sectors.
   void recompute_top2(geo::GridIndex g);
   /// Vectorized recompute_top2 over a batch of cells (K lanes at a time);
-  /// requires the pure index fast path (index_ bound, off_index_active_
-  /// == 0). Bit-identical to calling recompute_top2 per cell.
+  /// requires the pure index fast path (index_ bound, off_index_sectors_
+  /// empty). Bit-identical to calling recompute_top2 per cell.
   void recompute_top2_batch(const std::vector<geo::GridIndex>& cells);
   /// Offers (sector, rp) as a candidate server for g; O(1) promotion.
   /// `mw` is the sector's exact mW contribution (the same 10^(P/10) *
@@ -204,9 +205,11 @@ class EvalContext {
   /// The market's shared coverage index, or nullptr when the legacy scan
   /// paths are in effect (see set_use_coverage_index).
   const CoverageIndex* index_ = nullptr;
-  /// Active sectors whose current tilt has no index plane (0 on the pure
-  /// fast path; maintained by sync_index_bookkeeping).
-  int off_index_active_ = 0;
+  /// Ids of the active sectors whose current tilt has no index plane, in
+  /// ascending order (empty on the pure fast path; maintained by
+  /// sync_index_bookkeeping). recompute_top2's footprint fallback visits
+  /// only these, so its cost is O(active off-index sectors) per cell.
+  std::vector<net::SectorId> off_index_sectors_;
   /// Per-sector mirrors so the span scans touch flat arrays instead of
   /// gathering from Configuration + index lookups per entry:
   /// active_plane_[s] is the dB gain plane of s's current tilt when s is

@@ -16,6 +16,7 @@
 #include "model/analysis_model.h"
 #include "model/coverage_index.h"
 #include "model/eval_context.h"
+#include "obs/metrics.h"
 #include "test_helpers.h"
 
 namespace magus::model {
@@ -293,6 +294,99 @@ TEST(CoverageIndex, EmptyCoverageAndEdgeOfGridCells) {
   indexed.set_active(world.west, true);
   legacy.set_active(world.west, true);
   expect_states_bitwise_equal(indexed, legacy, "west back up");
+}
+
+TEST(CoverageIndex, OffIndexSectorListTracksActivityTiltAndRestore) {
+  // Only the default tilt is indexed, so every tilt move takes a sector
+  // off-index. Several sectors sit off-index at once, one of them is
+  // switched off while off-index, and restore() jumps between snapshots
+  // whose off-index sets differ; recompute's footprint fallback must match
+  // the legacy all-sectors probe bit-for-bit after every step.
+  data::Experiment experiment{magus::testing::small_market_params()};
+  AnalysisModel& model = experiment.model();
+  model.freeze_uniform_ue_density();
+  model.market_context().build_coverage_index(
+      CoverageIndexOptions{.tilt_radius = 0});
+  const CoverageIndex& index = *model.market_context().coverage_index();
+
+  EvalContext indexed{&model.market_context()};
+  indexed.set_use_coverage_index(true);
+  EvalContext legacy{&model.market_context()};
+  obs::Counter& fallbacks = obs::MetricsRegistry::global().counter(
+      "model.kernel.offindex_recomputes");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+
+  const auto sectors = experiment.network().nearest_sectors(
+      experiment.study_area().center(), 4);
+  ASSERT_EQ(sectors.size(), 4u);
+  const auto tilt_of = [&](net::SectorId s) {
+    return indexed.configuration()[s].tilt;
+  };
+  const auto move_off = [&](net::SectorId s) {
+    const net::Sector& meta = experiment.network().sector(s);
+    const int tilt = tilt_of(s);
+    const int next = meta.clamp_tilt(tilt + 1) != tilt ? tilt + 1 : tilt - 1;
+    indexed.set_tilt(s, next);
+    legacy.set_tilt(s, next);
+    ASSERT_FALSE(index.sector_tilt_indexed(s, tilt_of(s)));
+    expect_states_bitwise_equal(indexed, legacy,
+                                "off-index " + std::to_string(s));
+  };
+  const auto both = [&](const std::string& label, auto&& op) {
+    op(indexed);
+    op(legacy);
+    expect_states_bitwise_equal(indexed, legacy, label);
+  };
+  const auto default_tilt = [&](net::SectorId s) {
+    return model.configuration()[s].tilt;
+  };
+
+  // Three sectors off-index at once, then power cuts on and around them
+  // (set_power's demotion path re-ranks through the fallback too).
+  for (int k = 0; k < 3; ++k) move_off(sectors[static_cast<std::size_t>(k)]);
+  for (const net::SectorId s : sectors) {
+    const double power = indexed.configuration()[s].power_dbm - 6.0;
+    both("power cut " + std::to_string(s),
+         [&](EvalContext& c) { c.set_power(s, power); });
+  }
+  const EvalContext::Snapshot three_off_indexed = indexed.snapshot();
+  const EvalContext::Snapshot three_off_legacy = legacy.snapshot();
+
+  // Switch one off-index sector off: it leaves the list while its own
+  // demoted cells re-rank, and stays out after.
+  both("off-index sector down", [&](EvalContext& c) {
+    c.set_active(sectors[1], false);
+  });
+  // A different off-index set: sector 0 back on its indexed tilt,
+  // sector 3 off-index, sector 1 still down.
+  both("sector 0 back on-index", [&](EvalContext& c) {
+    c.set_tilt(sectors[0], default_tilt(sectors[0]));
+  });
+  move_off(sectors[3]);
+  const EvalContext::Snapshot mixed_indexed = indexed.snapshot();
+  const EvalContext::Snapshot mixed_legacy = legacy.snapshot();
+
+  for (int round = 0; round < 2; ++round) {
+    const std::string tag = " round " + std::to_string(round);
+    indexed.restore(three_off_indexed);
+    legacy.restore(three_off_legacy);
+    expect_states_bitwise_equal(indexed, legacy, "restore three-off" + tag);
+    // Demote an on-index sector: every re-ranked cell merges the span scan
+    // with the three off-index footprints.
+    both("on-index sector down" + tag, [&](EvalContext& c) {
+      c.set_active(sectors[3], false);
+    });
+    indexed.restore(mixed_indexed);
+    legacy.restore(mixed_legacy);
+    expect_states_bitwise_equal(indexed, legacy, "restore mixed" + tag);
+    both("off-index sector down" + tag, [&](EvalContext& c) {
+      c.set_active(sectors[2], false);
+    });
+    both("down sector back up" + tag, [&](EvalContext& c) {
+      c.set_active(sectors[1], true);
+    });
+  }
+  EXPECT_GT(fallbacks.value(), fallbacks_before);
 }
 
 TEST(CoverageIndex, GeneratedMarketDemotionsMatchLegacy) {
