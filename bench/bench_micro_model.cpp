@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks of the hot paths: footprint
 // construction, full model rebuild, incremental power/tilt updates,
-// snapshot/restore, utility evaluation, batch candidate scoring, and one
-// Algorithm-1 probe.
+// snapshot/restore, utility evaluation (and its CQI pass alone), batch
+// candidate scoring, and one Algorithm-1 probe.
 //
 // Beyond the google-benchmark flags, the binary accepts:
 //   --threads N   worker threads for the parallel-scoring benchmarks
@@ -32,6 +32,7 @@
 #include "core/power_search.h"
 #include "data/experiment.h"
 #include "data/upgrade_scenarios.h"
+#include "model/kernels.h"
 #include "obs/profiler.h"
 #include "obs/session.h"
 #include "util/json.h"
@@ -140,6 +141,24 @@ void BM_UtilityEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UtilityEvaluation)->Unit(benchmark::kMillisecond);
+
+// Pass 1 of BM_UtilityEvaluation alone (per-cell CQI + sector loads), so
+// the pass-1 / pass-2 split of one evaluation is visible.
+void BM_CqiLoadsKernel(benchmark::State& state) {
+  model::AnalysisModel& model = shared_model();
+  model.set_configuration(model.network().default_configuration());
+  model.freeze_uniform_ue_density();
+  std::vector<std::int8_t> cqi(static_cast<std::size_t>(model.cell_count()));
+  std::vector<double> loads(model.network().sector_count());
+  for (auto _ : state) {
+    model::cqi_and_loads_kernel(model.state(), model.ue_density(),
+                                model.noise_mw(),
+                                model.options().min_service_sinr_db, cqi,
+                                loads);
+    benchmark::DoNotOptimize(loads.data());
+  }
+}
+BENCHMARK(BM_CqiLoadsKernel)->Unit(benchmark::kMillisecond);
 
 void BM_ImprovesRateProbe(benchmark::State& state) {
   model::AnalysisModel& model = shared_model();

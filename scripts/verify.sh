@@ -49,13 +49,21 @@ assert any(k.startswith("evaluator.worker.") for k in metrics["counters"]), \
 # health counter must be present and nonzero.
 assert metrics["counters"].get("model.kernel.offindex_recomputes", 0) > 0, \
     "no off-index fallback counter"
+# The CQI pass decides nearly every cell without libm: both counters must
+# be listed, and at most 1e-3 of the classified cells may need log10.
+cqi_cells = metrics["counters"].get("model.kernel.cqi_cells", 0)
+cqi_exact = metrics["counters"].get("model.kernel.cqi_exact_cells")
+assert cqi_cells > 0 and cqi_exact is not None, "no CQI kernel counters"
+assert cqi_exact <= 1e-3 * cqi_cells, \
+    f"CQI libm share too high: {cqi_exact}/{cqi_cells}"
 trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events, "empty trace"
 cats = {e["cat"] for e in events}
 assert {"planner", "evaluator", "model"} <= cats, f"missing subsystems: {cats}"
 print(f"artifacts OK: {len(events)} trace events, "
-      f"{len(metrics['counters'])} counters")
+      f"{len(metrics['counters'])} counters, "
+      f"CQI libm share {cqi_exact / cqi_cells:.1e}")
 EOF
 
 echo "==> Perf smoke: coverage index vs legacy demotion workload"

@@ -1,6 +1,9 @@
 #include "core/search_types.h"
 
+#include <cstdint>
 #include <string>
+
+#include "lte/amc.h"
 
 namespace magus::core {
 
@@ -53,9 +56,20 @@ void apply_candidate(model::EvalContext& context, const Candidate& candidate) {
 }
 
 std::vector<double> capture_rates(const model::EvalContext& context) {
-  std::vector<double> rates(static_cast<std::size_t>(context.cell_count()));
-  for (geo::GridIndex g = 0; g < context.cell_count(); ++g) {
-    rates[static_cast<std::size_t>(g)] = context.rate_bps(g);
+  // rate_bps(g) for every cell, with the CQI from one kernel pass instead
+  // of one log10 per cell.
+  const std::vector<std::int8_t> cqi = context.cqi_map();
+  const std::vector<double>& loads = context.sector_loads();
+  const auto& best = context.state().best;
+  const auto bandwidth = context.network().carrier().bandwidth;
+  const auto& scheduler = context.options().scheduler;
+  std::vector<double> rates(cqi.size(), 0.0);
+  for (std::size_t i = 0; i < cqi.size(); ++i) {
+    if (best[i] == net::kInvalidSector) continue;
+    const double max_rate = lte::max_rate_bps_for_cqi(cqi[i], bandwidth);
+    if (max_rate <= 0.0) continue;
+    rates[i] = scheduler.shared_rate_bps(
+        max_rate, loads[static_cast<std::size_t>(best[i])]);
   }
   return rates;
 }

@@ -736,12 +736,18 @@ double EvalContext::rate_bps(geo::GridIndex g) const {
 }
 
 std::vector<net::SectorId> EvalContext::service_map() const {
-  std::vector<net::SectorId> map(static_cast<std::size_t>(cell_count()),
-                                 net::kInvalidSector);
-  for (geo::GridIndex g = 0; g < cell_count(); ++g) {
-    if (in_service(g)) map[static_cast<std::size_t>(g)] = serving_sector(g);
+  const std::vector<std::int8_t> cqi = cqi_map();
+  std::vector<net::SectorId> map(cqi.size(), net::kInvalidSector);
+  for (std::size_t i = 0; i < cqi.size(); ++i) {
+    if (cqi[i] > 0) map[i] = state_.best[i];
   }
   return map;
+}
+
+std::vector<std::int8_t> EvalContext::cqi_map() const {
+  std::vector<std::int8_t> cqi(state_.cells());
+  cqi_kernel(state_, market_->noise_mw(), options().min_service_sinr_db, cqi);
+  return cqi;
 }
 
 const std::vector<double>& EvalContext::sector_loads() const {

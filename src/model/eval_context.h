@@ -17,6 +17,7 @@
 // MarketContext, which every clone reads concurrently without locks.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -112,6 +113,10 @@ class EvalContext {
   /// attached to a server below SINRmin counts as unserved, like the
   /// paper's r_max = 0 rule).
   [[nodiscard]] std::vector<net::SectorId> service_map() const;
+
+  /// cqi(g) for every cell in one kernel pass (cqi_kernel): the same
+  /// values as the per-cell accessor, without a log10 per cell.
+  [[nodiscard]] std::vector<std::int8_t> cqi_map() const;
 
   /// N(s): UEs attached per sector (in-service grids only; Formula 3).
   /// Computed lazily and cached until the next mutation.

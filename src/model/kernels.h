@@ -8,11 +8,16 @@
 // floor and service threshold hoisted into registers — which is both what
 // the utility evaluator's hot pass and the lazy sector-load cache want.
 //
-// Bit-identity contract: every kernel performs exactly the floating-point
-// operations of the accessor path it replaces, in the same order, so
-// results are bit-identical to the unbatched code (model_equivalence_test
-// compares against independently computed references; the thread-
-// determinism suites compare across worker counts).
+// Bit-identity contract: every kernel returns exactly the values of the
+// accessor path it replaces, so results are bit-identical to the unbatched
+// code (model_equivalence_test compares against independently computed
+// references; the thread-determinism suites compare across worker counts;
+// simd_kernels_test puts SINRs on, and within a few ulps of, every
+// threshold). libm decides every value that is used: the per-cell log10
+// of the SINR denominator is replaced by a vector approximation that only
+// classifies, and only outside a 1e-6 dB guard band around each CQI
+// threshold and the service floor; every lane inside the band goes
+// through cell_cqi (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +48,12 @@ void cqi_and_loads_kernel(const GridState& state,
                           double min_service_sinr_db,
                           std::span<std::int8_t> cqi_out,
                           std::span<double> loads_out);
+
+/// CQI-only variant: the per-cell CQI of every cell into `cqi_out`
+/// (state.cells() entries), for whole-grid readers such as
+/// EvalContext::cqi_map().
+void cqi_kernel(const GridState& state, double noise_mw,
+                double min_service_sinr_db, std::span<std::int8_t> cqi_out);
 
 /// Loads-only variant for EvalContext::sector_loads() — the same sweep
 /// without materializing the CQI array. `loads_out` is overwritten.

@@ -13,14 +13,16 @@
 // The kernel contract is *bitwise identity across backends*: a kernel
 // written against this API produces the same bytes at every lane width.
 // That works because the API exposes only exactly-rounded IEEE-754
-// operations (add/sub/mul/div/sqrt/min/max/compare/convert) — one vector
-// lane performs the identical rounding the scalar expression performs —
-// and because the layer deliberately has NO fused multiply-add: the build
-// pins -ffp-contract=off so neither the kernels here nor the scalar
-// fallback contract a*b+c into a single rounding. Transcendentals
-// (pow/log10/atan2) are not reproducible lane-for-lane across libm
-// implementations and are intentionally absent: kernels keep them in
-// scalar code (see DESIGN.md §15).
+// operations (add/sub/mul/div/sqrt/min/max/compare/convert, plus the
+// bit-exact split_exp_d) — one vector lane performs the identical rounding
+// the scalar expression performs — and because the layer deliberately has
+// NO fused multiply-add: the build pins -ffp-contract=off so neither the
+// kernels here nor the scalar fallback contract a*b+c into a single
+// rounding. Transcendentals (pow/log10/atan2) are not reproducible
+// lane-for-lane across libm implementations and are intentionally absent:
+// libm decides every value that is used, and a vector approximation built
+// from these ops may only classify, outside a stated guard band (see
+// DESIGN.md §15).
 //
 // Semantics notes (all backends match these exactly):
 //  - min_*/max_*(a, b) return b when a == b or either is NaN (the MINPD /
@@ -40,6 +42,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #ifndef MAGUS_SIMD_LEVEL
 #if defined(__AVX2__)
@@ -72,6 +75,16 @@
 namespace magus::util::simd {
 
 inline constexpr int kLevel = MAGUS_SIMD_LEVEL;
+
+namespace detail {
+// IEEE-754 binary64 fields used by split_exp_d: the 52 fraction bits, the
+// bit pattern of 1.0 (biased exponent 1023), and 2^52, whose low mantissa
+// bits can hold the 11-bit exponent field as an exact integer addend.
+inline constexpr std::uint64_t kFractionBits = 0x000FFFFFFFFFFFFFull;
+inline constexpr std::uint64_t kOneBits = 0x3FF0000000000000ull;
+inline constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;
+inline constexpr double kTwo52PlusBias = 4503599627370496.0 + 1023.0;
+}  // namespace detail
 
 #if MAGUS_SIMD_LEVEL == 2
 // ---------------------------------------------------------------- AVX2 --
@@ -257,6 +270,21 @@ inline std::int32_t extract_i(vint a, int lane) {
 }
 
 inline vdouble iota_d() { return {_mm256_setr_pd(0.0, 1.0, 2.0, 3.0)}; }
+
+namespace detail {
+inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
+  const __m256i bits = _mm256_castpd_si256(a.v);
+  mant.v = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(kFractionBits)),
+      _mm256_set1_epi64x(kOneBits)));
+  const __m256i field = _mm256_and_si256(_mm256_srli_epi64(bits, 52),
+                                         _mm256_set1_epi64x(0x7FF));
+  expo.v = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(field, _mm256_set1_epi64x(kTwo52Bits))),
+      _mm256_set1_pd(kTwo52PlusBias));
+}
+}  // namespace detail
 
 #elif MAGUS_SIMD_LEVEL == 1
 // ---------------------------------------------------------------- SSE2 --
@@ -447,6 +475,20 @@ inline std::int32_t extract_i(vint a, int lane) {
 
 inline vdouble iota_d() { return {_mm_setr_pd(0.0, 1.0)}; }
 
+namespace detail {
+inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
+  const __m128i bits = _mm_castpd_si128(a.v);
+  mant.v = _mm_castsi128_pd(
+      _mm_or_si128(_mm_and_si128(bits, _mm_set1_epi64x(kFractionBits)),
+                   _mm_set1_epi64x(kOneBits)));
+  const __m128i field =
+      _mm_and_si128(_mm_srli_epi64(bits, 52), _mm_set1_epi64x(0x7FF));
+  expo.v = _mm_sub_pd(
+      _mm_castsi128_pd(_mm_or_si128(field, _mm_set1_epi64x(kTwo52Bits))),
+      _mm_set1_pd(kTwo52PlusBias));
+}
+}  // namespace detail
+
 #elif MAGUS_SIMD_LEVEL == 3
 // ---------------------------------------------------------------- NEON --
 inline constexpr int kWidth = 2;
@@ -619,6 +661,19 @@ inline vdouble iota_d() {
   return {vld1q_f64(out)};
 }
 
+namespace detail {
+inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
+  const uint64x2_t bits = vreinterpretq_u64_f64(a.v);
+  mant.v = vreinterpretq_f64_u64(
+      vorrq_u64(vandq_u64(bits, vdupq_n_u64(kFractionBits)),
+                vdupq_n_u64(kOneBits)));
+  const uint64x2_t field = vandq_u64(vshrq_n_u64(bits, 52), vdupq_n_u64(0x7FF));
+  expo.v = vsubq_f64(
+      vreinterpretq_f64_u64(vorrq_u64(field, vdupq_n_u64(kTwo52Bits))),
+      vdupq_n_f64(kTwo52PlusBias));
+}
+}  // namespace detail
+
 #else
 // -------------------------------------------------------------- scalar --
 inline constexpr int kWidth = 1;
@@ -729,6 +784,41 @@ inline std::int32_t extract_i(vint a, int) { return a.v; }
 
 inline vdouble iota_d() { return {0.0}; }
 
+namespace detail {
+inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &a.v, sizeof bits);
+  const std::uint64_t m = (bits & kFractionBits) | kOneBits;
+  std::memcpy(&mant.v, &m, sizeof m);
+  const std::uint64_t big = ((bits >> 52) & 0x7FF) | kTwo52Bits;
+  std::memcpy(&expo.v, &big, sizeof big);
+  expo.v -= kTwo52PlusBias;
+}
+}  // namespace detail
+
 #endif
+
+/// split_exp_d(a): the exact binary split of each lane, built from bit
+/// operations alone (no rounding anywhere, so every backend agrees):
+///  - mant: a's 52 fraction bits under a biased exponent of 0, a value in
+///    [1, 2); for a positive normal a, a == mant * 2^expo exactly;
+///  - expo: the 11-bit biased exponent field minus 1023, as a double (so
+///    -1023 for ±0 and subnormals, 1024 for ±inf and NaN);
+///  - pos_normal: all-ones where a is positive, normal and finite — the
+///    lanes on which the split is the textbook frexp.
+/// The sign bit is ignored by mant and expo.
+struct ExpSplit {
+  vdouble mant;
+  vdouble expo;
+  dmask pos_normal;
+};
+inline ExpSplit split_exp_d(vdouble a) {
+  ExpSplit out;
+  detail::exp_split_parts(a, out.mant, out.expo);
+  out.pos_normal =
+      m_and(cmp_ge_d(a, set1_d(std::numeric_limits<double>::min())),
+            cmp_le_d(a, set1_d(std::numeric_limits<double>::max())));
+  return out;
+}
 
 }  // namespace magus::util::simd

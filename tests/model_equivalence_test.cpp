@@ -6,10 +6,13 @@
 // from the add/subtract updates, so it gets a tight relative tolerance.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <string>
 
 #include "core/evaluator.h"
+#include "core/search_types.h"
 #include "model/analysis_model.h"
 #include "model/eval_context.h"
 #include "test_helpers.h"
@@ -191,6 +194,40 @@ TEST(ModelEquivalence, UtilityAgreesWithRebuiltContext) {
   const double from_rebuild =
       core::evaluate_utility(rebuilt, utility, scratch_b);
   EXPECT_NEAR(incremental / from_rebuild, 1.0, 1e-9);
+}
+
+TEST(ModelEquivalence, WholeGridReadersMatchPerCellAccessors) {
+  data::Experiment experiment{magus::testing::small_market_params()};
+  AnalysisModel& model = experiment.model();
+  model.freeze_uniform_ue_density();
+  const net::SectorId target = experiment.network().nearest_sectors(
+      experiment.study_area().center(), 1)[0];
+  model.set_active(target, false);
+  const std::vector<net::SectorId> targets = {target};
+  const auto involved = experiment.network().neighbors_of(targets, 2'000.0);
+  for (std::size_t i = 0; i < involved.size(); ++i) {
+    const net::SectorId s = involved[i];
+    model.set_power(s, model.configuration()[s].power_dbm + 1.5);
+    if (i % 3 == 0) model.set_tilt(s, model.configuration()[s].tilt + 1);
+  }
+
+  const std::vector<net::SectorId> service = model.service_map();
+  const std::vector<std::int8_t> cqi = model.cqi_map();
+  const std::vector<double> rates = core::capture_rates(model);
+  ASSERT_EQ(service.size(), static_cast<std::size_t>(model.cell_count()));
+  std::size_t served = 0;
+  for (geo::GridIndex g = 0; g < model.cell_count(); ++g) {
+    const auto i = static_cast<std::size_t>(g);
+    EXPECT_EQ(cqi[i], model.cqi(g)) << "g=" << g;
+    EXPECT_EQ(service[i], model.in_service(g) ? model.serving_sector(g)
+                                              : net::kInvalidSector)
+        << "g=" << g;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[i]),
+              std::bit_cast<std::uint64_t>(model.rate_bps(g)))
+        << "g=" << g;
+    served += service[i] != net::kInvalidSector ? 1 : 0;
+  }
+  EXPECT_GT(served, 0u);
 }
 
 }  // namespace

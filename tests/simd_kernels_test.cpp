@@ -22,6 +22,7 @@
 
 #include "model/kernels.h"
 #include "model/simd_sweeps.h"
+#include "obs/metrics.h"
 #include "pathloss/footprint.h"
 #include "radio/antenna.h"
 #include "radio/propagation.h"
@@ -204,6 +205,52 @@ TEST(SimdOps, MaskPlumbingRoundTrips) {
 TEST(SimdOps, IotaCountsLanes) {
   for (int j = 0; j < K; ++j) {
     EXPECT_EQ(vx::extract_d(vx::iota_d(), j), static_cast<double>(j));
+  }
+}
+
+TEST(SimdOps, SplitExpMatchesBitReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inputs = {
+      1.0, 2.0, 0.5, 1.5, std::sqrt(2.0), 3.999999999999999, 1e-11, 4e-11,
+      123456.789, -1.0, -3.5, 0.0, -0.0, kInf, -kInf, kNaN, -kNaN,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0), 1e-310,
+      std::nextafter(1.0, 0.0), std::nextafter(2.0, 0.0)};
+  std::mt19937_64 rng{11};
+  std::uniform_real_distribution<double> mant{1.0, 2.0};
+  std::uniform_int_distribution<int> expo{-1070, 1023};
+  for (int n = 0; n < 200; ++n) {
+    inputs.push_back(std::ldexp(mant(rng), expo(rng)) * (n % 3 ? 1.0 : -1.0));
+  }
+  while (inputs.size() % static_cast<std::size_t>(K) != 0) {
+    inputs.push_back(1.0);
+  }
+
+  for (std::size_t i = 0; i < inputs.size(); i += K) {
+    const vx::ExpSplit split = vx::split_exp_d(vx::loadu_d(&inputs[i]));
+    const unsigned pos_normal = vx::to_bits(split.pos_normal);
+    for (int j = 0; j < K; ++j) {
+      const double x = inputs[i + static_cast<std::size_t>(j)];
+      std::uint64_t bits;
+      std::memcpy(&bits, &x, sizeof bits);
+      const std::uint64_t mant_bits =
+          (bits & 0x000FFFFFFFFFFFFFull) | 0x3FF0000000000000ull;
+      const double expect_expo =
+          static_cast<double>(static_cast<int>((bits >> 52) & 0x7FF) - 1023);
+      const double got_mant = vx::extract_d(split.mant, j);
+      std::uint64_t got_mant_bits;
+      std::memcpy(&got_mant_bits, &got_mant, sizeof got_mant_bits);
+      EXPECT_EQ(got_mant_bits, mant_bits) << "x=" << x;
+      EXPECT_EQ(vx::extract_d(split.expo, j), expect_expo) << "x=" << x;
+      const bool expect_normal = x > 0.0 && std::isnormal(x);
+      EXPECT_EQ(((pos_normal >> j) & 1u) != 0, expect_normal) << "x=" << x;
+      if (expect_normal) {
+        EXPECT_EQ(std::ldexp(got_mant, static_cast<int>(expect_expo)), x);
+      }
+    }
   }
 }
 
@@ -410,6 +457,164 @@ TEST(KernelIdentity, CqiAndLoadsMatchPerCellReference) {
       EXPECT_EQ(loads_only[s], loads[s]) << "cells=" << cells;
     }
   }
+}
+
+/// Cells whose exact SINR (the libm path of cell_cqi, noise 0, so the
+/// denominator is total_mw itself) lands as close to `target` as doubles
+/// allow: on it where reachable, and on the nearest reachable values below
+/// and above it. Walks the denominator ulp by ulp around
+/// 10^((rp - target) / 10), then adds cells at ±G/2 and ±2G.
+void add_straddlers(double target, float rp, std::vector<double>& totals,
+                    std::vector<float>& rps, int& exact_hits) {
+  const auto sinr_of = [rp](double d) {
+    return static_cast<double>(rp) - util::mw_to_dbm(d);
+  };
+  double d = std::pow(10.0, (static_cast<double>(rp) - target) / 10.0);
+  double below = 0.0, above = 0.0;
+  bool have_below = false, have_above = false;
+  for (int k = 0; k < 64; ++k) d = std::nextafter(d, 0.0);
+  for (int k = 0; k < 128; ++k, d = std::nextafter(d, 2.0 * d)) {
+    const double sinr = sinr_of(d);
+    if (sinr == target) {
+      totals.push_back(d);
+      rps.push_back(rp);
+      ++exact_hits;
+    } else if (sinr < target && (!have_below || sinr > sinr_of(below))) {
+      below = d;
+      have_below = true;
+    } else if (sinr > target && (!have_above || sinr < sinr_of(above))) {
+      above = d;
+      have_above = true;
+    }
+  }
+  ASSERT_TRUE(have_below && have_above) << "target=" << target;
+  totals.push_back(below);
+  rps.push_back(rp);
+  totals.push_back(above);
+  rps.push_back(rp);
+  // Just inside and just outside the 1e-6 dB guard band.
+  for (const double offset : {-2e-6, -5e-7, 5e-7, 2e-6}) {
+    totals.push_back(
+        std::pow(10.0, (static_cast<double>(rp) - (target + offset)) / 10.0));
+    rps.push_back(rp);
+  }
+}
+
+TEST(KernelIdentity, CqiOnAndAroundEveryThresholdMatchesLibm) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto& thresholds = lte::cqi_sinr_thresholds_db();
+  const std::size_t sectors = 3;
+  // The service floor on a threshold (the default) and between two.
+  for (const double min_sinr : {thresholds.front(), -6.0}) {
+    std::vector<double> totals;
+    std::vector<float> rps;
+    std::vector<double> targets(thresholds.begin(), thresholds.end());
+    targets.push_back(min_sinr);
+    for (const double target : targets) {
+      // Far powers exercise large denominator exponents. Powers within a
+      // few float ulps of the target put the denominator near 1 mW, where
+      // the log steps finely enough to land on the target exactly.
+      std::vector<float> powers = {-60.0f, 10.0f, 40.0f};
+      float down = static_cast<float>(target);
+      float up = down;
+      powers.push_back(down);
+      for (int k = 0; k < 32; ++k) {
+        down = std::nextafter(down, -1e9f);
+        up = std::nextafter(up, 1e9f);
+        powers.push_back(down);
+        powers.push_back(up);
+      }
+      int exact_hits = 0;
+      for (const float rp : powers) {
+        add_straddlers(target, rp, totals, rps, exact_hits);
+      }
+      EXPECT_GT(exact_hits, 0) << "no SINR landed exactly on " << target;
+    }
+    // Denominators 0 (SINR +inf), subnormal, +inf (SINR -inf) and NaN.
+    for (const double total :
+         {0.0, std::numeric_limits<double>::denorm_min(), 1e-310, kInf,
+          kNaN}) {
+      totals.push_back(total);
+      rps.push_back(-60.0f);
+    }
+
+    // Prepending 0..2K-1 serverless cells shifts every case through every
+    // lane position and every tail residue.
+    for (std::size_t pad = 0; pad < 2 * static_cast<std::size_t>(K);
+         ++pad) {
+      const std::size_t cells = pad + totals.size();
+      model::GridState state(cells);
+      std::vector<double> density(cells, 0.0);
+      for (std::size_t c = 0; c < pad; ++c) {
+        state.total_mw[c] = c % 2 ? kNaN : 1e-9;  // ignored without a server
+        density[c] = 1.0;
+      }
+      for (std::size_t k = 0; k < totals.size(); ++k) {
+        const std::size_t c = pad + k;
+        state.best[c] = static_cast<net::SectorId>(k % sectors);
+        state.best_rp_dbm[c] = rps[k];
+        state.total_mw[c] = totals[k];
+        density[c] = k % 5 == 0 ? 0.0 : 1.0 + 0.25 * static_cast<double>(k % 7);
+      }
+
+      std::vector<std::int8_t> fused(cells), cqi_only(cells);
+      std::vector<double> loads(sectors), loads_only(sectors);
+      model::cqi_and_loads_kernel(state, density, 0.0, min_sinr, fused,
+                                  loads);
+      model::cqi_kernel(state, 0.0, min_sinr, cqi_only);
+      model::loads_kernel(state, density, 0.0, min_sinr, loads_only);
+
+      std::vector<double> expect_loads(sectors, 0.0);
+      for (std::size_t c = 0; c < cells; ++c) {
+        const lte::Cqi expect =
+            model::cell_cqi(state.best[c], state.best_rp_dbm[c],
+                            state.best_mw[c], state.total_mw[c], 0.0,
+                            min_sinr);
+        EXPECT_EQ(fused[c], static_cast<std::int8_t>(expect))
+            << "min=" << min_sinr << " pad=" << pad << " c=" << c;
+        EXPECT_EQ(cqi_only[c], fused[c]) << "pad=" << pad << " c=" << c;
+        if (expect > 0 && density[c] > 0.0) {
+          expect_loads[static_cast<std::size_t>(state.best[c])] += density[c];
+        }
+      }
+      for (std::size_t s = 0; s < sectors; ++s) {
+        EXPECT_EQ(loads[s], expect_loads[s]) << "pad=" << pad;
+        EXPECT_EQ(loads_only[s], expect_loads[s]) << "pad=" << pad;
+      }
+    }
+  }
+}
+
+TEST(KernelIdentity, CqiCountersSeparateLibmDecidedCells) {
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& cells_counter = registry.counter("model.kernel.cqi_cells");
+  obs::Counter& exact_counter =
+      registry.counter("model.kernel.cqi_exact_cells");
+  const auto& thresholds = lte::cqi_sinr_thresholds_db();
+  // 4K + 1 cells, each a whole dB from every threshold, except one planted
+  // on the service floor and one with a zero denominator.
+  const std::size_t cells = 4 * static_cast<std::size_t>(K) + 1;
+  model::GridState state(cells);
+  for (std::size_t c = 0; c < cells; ++c) {
+    state.best[c] = 0;
+    state.total_mw[c] = 1.0;  // 0 dBm denominator with noise 0
+    state.best_rp_dbm[c] = 30.0f;
+  }
+  state.best_rp_dbm[0] = static_cast<float>(thresholds.front());
+  state.total_mw[2] = 0.0;  // a zero denominator: SINR +inf, via libm
+  std::vector<std::int8_t> cqi(cells);
+  const std::uint64_t cells_before = cells_counter.value();
+  const std::uint64_t exact_before = exact_counter.value();
+  model::cqi_kernel(state, 0.0, static_cast<float>(thresholds.front()), cqi);
+  EXPECT_EQ(cells_counter.value() - cells_before, cells);
+  // The floor lane and the zero-denominator lane, plus the one-cell
+  // scalar tail when K > 1.
+  const std::uint64_t expect_exact = K == 1 ? 2 : 3;
+  EXPECT_EQ(exact_counter.value() - exact_before, expect_exact);
+  EXPECT_EQ(cqi[0], 1);
+  EXPECT_EQ(cqi[1], lte::kCqiLevels);
+  EXPECT_EQ(cqi[2], lte::kCqiLevels);
 }
 
 // ------------------------------------------------------ radio/pathloss --
