@@ -12,12 +12,18 @@
 //      databases. The bench asserts the reloaded markets plan to the exact
 //      fingerprints pass A produced (plans_identical_under_eviction) —
 //      eviction is a memory knob, never a results knob.
+//      Pass B's plan is then executed fault-free on the capped store.
+//      Every upgrade must run the plan carried from planning
+//      (plans_replanned == 0), so execution costs no search.
 //   C  standalone cross-check: --samples markets re-planned through a
 //      plain data::Experiment + core::MagusPlanner, no store, no database
 //      (lazy path-loss construction). Their fingerprints must match the
 //      store path bit for bit (plans_match_single_market) — the fleet
 //      stack is a cache around the single-market pipeline, not a different
-//      model.
+//      model. The same markets are executed once more with their plans
+//      stripped, so every upgrade is re-planned when it runs; the campaign
+//      results must equal the carried-plan execution byte for byte
+//      (execute_matches_replanned).
 //
 // --json writes the committed BENCH_fleet.json baseline.
 #include <chrono>
@@ -25,6 +31,7 @@
 
 #include "bench_common.h"
 #include "fleet/wave_planner.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "util/checksum.h"
 #include "util/json.h"
@@ -163,6 +170,16 @@ int main(int argc, char** argv) {
     replan_b.push_back(one.markets.front().fingerprint);
   }
 
+  // Fault-free execution of the capped plan: carried plans only.
+  obs::Counter& replans =
+      obs::MetricsRegistry::global().counter("exec.campaign.plans_replanned");
+  const std::uint64_t replans_before = replans.value();
+  const auto x_start = Clock::now();
+  const fleet::FleetExecutionResult executed = planner_b.execute(plan_b);
+  const double x_seconds =
+      std::chrono::duration<double>(Clock::now() - x_start).count();
+  const std::uint64_t plans_replanned = replans.value() - replans_before;
+
   bool plans_identical = plan_a.fleet_fingerprint() == plan_b.fleet_fingerprint();
   for (std::size_t i = 0; i < replan_count; ++i) {
     plans_identical = plans_identical && replan_a[i] == replan_b[i] &&
@@ -171,6 +188,8 @@ int main(int argc, char** argv) {
 
   // ---- Pass C: standalone single-market cross-check ----
   bool plans_match_single = true;
+  fleet::FleetWavePlan stripped;  // the sample markets, plans dropped
+  std::vector<traffic::MarketWaveInput> chains;
   for (std::size_t i = 0; i < sample_count; ++i) {
     const std::size_t pick = i * (markets / std::max<std::size_t>(
                                                  sample_count, 1));
@@ -178,6 +197,23 @@ int main(int argc, char** argv) {
         specs[pick].params, sites, planner_options);
     plans_match_single =
         plans_match_single && solo == plan_a.markets[pick].fingerprint;
+    fleet::MarketPlan market = plan_b.markets[pick];
+    market.plans.clear();
+    chains.push_back({market.market, market.schedule.window_count()});
+    stripped.markets.push_back(std::move(market));
+  }
+  stripped.wave = traffic::compose_wave(chains, planner_options.crew_cap);
+  const fleet::FleetExecutionResult replanned = planner_b.execute(stripped);
+  bool execute_matches_replanned = !replanned.markets.empty();
+  for (const fleet::MarketExecution& market : replanned.markets) {
+    const auto carried = std::find_if(
+        executed.markets.begin(), executed.markets.end(),
+        [&](const fleet::MarketExecution& m) {
+          return m.market == market.market;
+        });
+    execute_matches_replanned =
+        execute_matches_replanned && carried != executed.markets.end() &&
+        carried->result.to_json().dump() == market.result.to_json().dump();
   }
 
   util::TablePrinter table{{"pass", "seconds", "markets/s", "hits", "misses",
@@ -206,7 +242,12 @@ int main(int argc, char** argv) {
             << "plans identical under eviction: "
             << (plans_identical ? "yes" : "NO") << '\n'
             << "plans match single-market path: "
-            << (plans_match_single ? "yes" : "NO") << '\n';
+            << (plans_match_single ? "yes" : "NO") << '\n'
+            << "capped execute: " << util::TablePrinter::num(x_seconds, 2)
+            << " s, " << executed.upgrades_completed << " upgrades completed, "
+            << plans_replanned << " re-planned\n"
+            << "carried plans execute like re-planned ones: "
+            << (execute_matches_replanned ? "yes" : "NO") << '\n';
 
   if (const std::string json_path = args.get_string("json");
       !json_path.empty()) {
@@ -239,7 +280,13 @@ int main(int argc, char** argv) {
             static_cast<std::int64_t>(plan_a.fleet_fingerprint()));
     out.set("plans_identical_under_eviction", plans_identical);
     out.set("plans_match_single_market", plans_match_single);
+    out.set("execute_seconds_capped", x_seconds);
+    out.set("plans_replanned", static_cast<std::int64_t>(plans_replanned));
+    out.set("execute_matches_replanned", execute_matches_replanned);
     out.write_file(json_path);
   }
-  return (plans_identical && plans_match_single) ? 0 : 1;
+  return (plans_identical && plans_match_single && plans_replanned == 0 &&
+          execute_matches_replanned)
+             ? 0
+             : 1;
 }

@@ -171,8 +171,13 @@ SPECS = {
         "fleet_fingerprint": "eq",
         "plans_identical_under_eviction": "true",
         "plans_match_single_market": "true",
+        # Execution runs the plans plan() made: no upgrade re-planned, and
+        # carried plans execute byte-identically to re-planned ones.
+        "plans_replanned": "eq",
+        "execute_matches_replanned": "eq",
         "plan_seconds_unbounded": "time",
         "plan_seconds_capped": "time",
+        "execute_seconds_capped": "time",
         "markets_per_second": "rate",
         "peak_resident_bytes": ("time", 1.5),
     },

@@ -117,11 +117,15 @@ assert f["store_capped"]["evictions"] > 0, "byte budget never evicted"
 assert f["plans_identical_under_eviction"], "eviction changed a market's plan"
 assert f["plans_match_single_market"], \
     "fleet path diverged from the single-market planner"
+assert f["plans_replanned"] == 0, \
+    f"fault-free execute re-planned {f['plans_replanned']} upgrades"
+assert f["execute_matches_replanned"], \
+    "carried plans executed differently from re-planned ones"
 m = json.load(open(f"{sys.argv[1]}/fleet_metrics.json"))
 assert m["counters"]["fleet.store.evictions"] > 0, "no store metrics"
 print(f"fleet smoke OK: {f['markets']} markets / {f['sectors_total']} "
       f"sectors, {f['store_capped']['evictions']} evictions, "
-      f"plans identical under eviction")
+      f"plans identical under eviction, execute ran the carried plans")
 EOF
 
 echo "==> Streaming smoke: v3 mmap cold open + footprint-granular residency"

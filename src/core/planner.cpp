@@ -53,36 +53,43 @@ MagusPlanner::MagusPlanner(Evaluator* evaluator, PlannerOptions options)
   if (evaluator_ == nullptr) {
     throw std::invalid_argument("MagusPlanner: evaluator must not be null");
   }
-  parallel_ =
-      options_.shared_pool != nullptr
-          ? std::make_unique<ParallelEvaluator>(
-                &evaluator_->model(), evaluator_->utility(),
-                options_.shared_pool, options_.use_coverage_index)
-          : std::make_unique<ParallelEvaluator>(
-                &evaluator_->model(), evaluator_->utility(), options_.threads,
-                options_.use_coverage_index);
+}
+
+ParallelEvaluator& MagusPlanner::parallel_evaluator() const {
+  if (parallel_ == nullptr) {
+    parallel_ =
+        options_.shared_pool != nullptr
+            ? std::make_unique<ParallelEvaluator>(
+                  &evaluator_->model(), evaluator_->utility(),
+                  options_.shared_pool, options_.use_coverage_index)
+            : std::make_unique<ParallelEvaluator>(
+                  &evaluator_->model(), evaluator_->utility(),
+                  options_.threads, options_.use_coverage_index);
+  }
+  return *parallel_;
 }
 
 SearchResult MagusPlanner::run_search(
     std::span<const net::SectorId> involved,
     std::span<const double> baseline_rates) const {
+  ParallelEvaluator& parallel = parallel_evaluator();
   switch (options_.mode) {
     case TuningMode::kPower: {
       const PowerSearch search{options_.power};
-      return search.run(*parallel_, involved, baseline_rates);
+      return search.run(parallel, involved, baseline_rates);
     }
     case TuningMode::kTilt: {
       const TiltSearch search{options_.tilt};
-      return search.run(*parallel_, involved);
+      return search.run(parallel, involved);
     }
     case TuningMode::kJoint: {
       const JointSearch search{JointSearchOptions{options_.tilt,
                                                   options_.power}};
-      return search.run(*parallel_, involved, baseline_rates);
+      return search.run(parallel, involved, baseline_rates);
     }
     case TuningMode::kNaive: {
       const NaiveSearch search{};
-      return search.run(*parallel_, involved);
+      return search.run(parallel, involved);
     }
   }
   throw std::logic_error("MagusPlanner: unknown tuning mode");
@@ -154,6 +161,10 @@ MitigationPlan MagusPlanner::plan_upgrade(
           "MagusPlanner: target sector is excluded (quarantined)");
     }
   }
+  // Bind the search machinery (and the coverage index) before the latency
+  // timer starts: planner.plan_latency_us measures planning, not a
+  // market's one-time index build.
+  (void)parallel_evaluator();
   MAGUS_TRACE_SPAN("planner.plan_upgrade", "planner");
   PlannerMetrics& metrics = PlannerMetrics::get();
   metrics.plans.add(1);
@@ -181,6 +192,8 @@ MitigationPlan MagusPlanner::plan_upgrade(
   }
   plan.c_before = model.configuration();
   model.freeze_uniform_ue_density();
+  const std::span<const double> density = model.ue_density();
+  plan.ue_density.assign(density.begin(), density.end());
   plan.f_before = evaluator_->evaluate();
   const std::vector<double> baseline_rates = capture_rates(model);
 
@@ -216,6 +229,7 @@ MitigationPlan MagusPlanner::replan_from_current(
   if (targets.empty()) {
     throw std::invalid_argument("MagusPlanner: no target sectors");
   }
+  (void)parallel_evaluator();
   MAGUS_TRACE_SPAN("planner.replan_from_current", "planner");
   PlannerMetrics::get().replans.add(1);
   model::AnalysisModel& model = evaluator_->model();
@@ -224,6 +238,8 @@ MitigationPlan MagusPlanner::replan_from_current(
   plan.targets.assign(targets.begin(), targets.end());
   plan.involved = involved_sectors(targets, excluded);
   plan.c_before = model.configuration();
+  const std::span<const double> density = model.ue_density();
+  plan.ue_density.assign(density.begin(), density.end());
   plan.f_before = evaluator_->evaluate();
 
   const std::vector<double> baseline =

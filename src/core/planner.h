@@ -77,11 +77,20 @@ struct MitigationPlan {
   double recovery = 0.0;  ///< Formula 7
   SearchResult search;
   GradualPlan gradual;
+  /// The UE density the plan was made under: frozen at C_before by
+  /// plan_upgrade, the model's density as found by replan_from_current.
+  /// The executor runs the plan under exactly this density.
+  std::vector<double> ue_density;
 };
 
 class MagusPlanner {
  public:
-  /// `evaluator` must outlive the planner.
+  /// `evaluator` must outlive the planner. Construction builds nothing:
+  /// the batch evaluator (and with it the market's coverage index) is
+  /// created by the first plan_upgrade, replan_from_current or
+  /// parallel_evaluator() call, so a planner that only stands by as the
+  /// executor's re-planner costs no index build. Like plan_upgrade, that
+  /// first call mutates shared state: use a planner from one thread.
   MagusPlanner(Evaluator* evaluator, PlannerOptions options = {});
 
   /// Plans mitigation for taking `targets` off-air. On entry the model may
@@ -125,10 +134,9 @@ class MagusPlanner {
       std::span<const net::SectorId> excluded = {}) const;
 
   /// The batch evaluator the search drivers run on; exposed so callers
-  /// (benches) can read the aggregated evaluation count.
-  [[nodiscard]] ParallelEvaluator& parallel_evaluator() const {
-    return *parallel_;
-  }
+  /// (benches) can read the aggregated evaluation count. Created (and the
+  /// coverage index bound) on first use.
+  [[nodiscard]] ParallelEvaluator& parallel_evaluator() const;
 
  private:
   /// Runs the configured tuning mode on the parallel evaluator.
@@ -142,10 +150,11 @@ class MagusPlanner {
 
   Evaluator* evaluator_;
   PlannerOptions options_;
-  /// Owns the worker pool + per-worker eval contexts for the drivers. The
-  /// serial phases (pre-planning, feedback polish, gradual scheduling)
-  /// stay on evaluator_.
-  std::unique_ptr<ParallelEvaluator> parallel_;
+  /// Owns the worker pool + per-worker eval contexts for the drivers;
+  /// null until parallel_evaluator() first runs. The serial phases
+  /// (pre-planning, feedback polish, gradual scheduling) stay on
+  /// evaluator_.
+  mutable std::unique_ptr<ParallelEvaluator> parallel_;
 };
 
 /// Local power planning: per-sector hill climbing (±step, best direction,

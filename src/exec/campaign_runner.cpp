@@ -20,6 +20,8 @@ struct CampaignMetrics {
   obs::Counter& upgrades_executed;
   obs::Counter& upgrades_replayed;
   obs::Counter& upgrades_skipped;
+  obs::Counter& plans_carried;
+  obs::Counter& plans_replanned;
 
   [[nodiscard]] static CampaignMetrics& get() {
     static auto& registry = obs::MetricsRegistry::global();
@@ -29,6 +31,8 @@ struct CampaignMetrics {
         registry.counter("exec.campaign.upgrades_executed"),
         registry.counter("exec.campaign.upgrades_replayed"),
         registry.counter("exec.campaign.upgrades_skipped"),
+        registry.counter("exec.campaign.plans_carried"),
+        registry.counter("exec.campaign.plans_replanned"),
     };
     return metrics;
   }
@@ -210,6 +214,26 @@ CampaignRunner::CampaignRunner(core::Evaluator* evaluator,
 CampaignResult CampaignRunner::run(
     std::span<const traffic::PlannedUpgrade> upgrades,
     const traffic::CampaignSchedule& schedule, const CampaignEnv& env) const {
+  if (!env.plans.empty()) {
+    if (env.plans.size() != upgrades.size()) {
+      throw std::invalid_argument(
+          "CampaignRunner: carried plans are not parallel to the upgrades");
+    }
+    const auto cells =
+        static_cast<std::size_t>(evaluator_->model().cell_count());
+    for (std::size_t u = 0; u < upgrades.size(); ++u) {
+      const core::MitigationPlan& plan = env.plans[u];
+      if (plan.targets != upgrades[u].targets) {
+        throw std::invalid_argument(
+            "CampaignRunner: carried plan targets differ from its upgrade's");
+      }
+      if (plan.ue_density.size() != cells) {
+        throw std::invalid_argument(
+            "CampaignRunner: carried plan's UE density does not fit the "
+            "model");
+      }
+    }
+  }
   MAGUS_TRACE_SPAN("exec.campaign", "exec");
   CampaignMetrics& metrics = CampaignMetrics::get();
   CampaignResult result;
@@ -399,11 +423,19 @@ CampaignResult CampaignRunner::run(
         env.journal->append(JournalRecordType::kUpgradeStart, pw.take());
       }
 
-      // The plan is recomputed on the reduced sector set; a resumed
-      // campaign re-derives the identical plan because the quarantine
-      // snapshot, targets, and model inputs are identical.
-      const core::MitigationPlan plan =
-          planner_->plan_upgrade(spec.targets, quarantined_now);
+      // A carried plan holds for a window with nothing fenced off. Under
+      // quarantine the plan is recomputed on the reduced sector set; a
+      // resumed campaign re-derives the identical plan because the
+      // quarantine snapshot, targets, and model inputs are identical.
+      std::optional<core::MitigationPlan> replanned;
+      if (env.plans.empty() || !quarantined_now.empty()) {
+        replanned = planner_->plan_upgrade(spec.targets, quarantined_now);
+        metrics.plans_replanned.add(1);
+      } else {
+        metrics.plans_carried.add(1);
+      }
+      const core::MitigationPlan& plan =
+          replanned.has_value() ? *replanned : env.plans[u];
       std::unique_ptr<FaultInjector> injector;
       if (env.injector_factory) injector = env.injector_factory(u);
 
@@ -420,6 +452,7 @@ CampaignResult CampaignRunner::run(
       if (resuming) xenv.resume = &*inflight_state;
 
       entry.resumed = resuming;
+      evaluator_->model().set_ue_density(plan.ue_density);
       entry.trace = executor.execute(plan.gradual, plan.targets,
                                      upgrade_seed(options_.seed, u), xenv);
       if (resuming) inflight_state.reset();

@@ -18,7 +18,13 @@
 // resumes idempotently: completed upgrades are rebuilt from their
 // kStepConfirm + kUpgradeEnd records — never re-planned, never re-pushed —
 // the in-flight upgrade continues from its last confirmed step via the
-// executor's WindowResumeState, and everything after runs normally. The
+// executor's WindowResumeState, and everything after runs normally.
+//
+// Each upgrade runs the plan carried in CampaignEnv::plans when one was
+// made and its window has nothing quarantined; otherwise (a quarantine
+// shrank the tuning set, or nothing was carried) it is planned when it
+// runs. Either way the model's UE density is set from the plan just
+// before execution, so the plan alone defines the executor's inputs. The
 // quarantine breaker is re-derived from the replayed fault events in the
 // original window order, so the resumed campaign sees the exact sector
 // fencing the uninterrupted one would.
@@ -97,6 +103,11 @@ struct CampaignOptions {
 /// holds Journal::replay(path).records (kept alive by the caller) and
 /// `journal` is the same file reopened with Mode::kContinue.
 struct CampaignEnv {
+  /// Plans made before the campaign (MagusPlanner::plan_upgrade with no
+  /// exclusions), parallel to the upgrade list. When set, an upgrade whose
+  /// window has nothing quarantined runs its carried plan instead of
+  /// re-planning; empty = every upgrade is planned when it runs.
+  std::span<const core::MitigationPlan> plans;
   const core::ContingencyTable* contingencies = nullptr;
   /// Builds the fault injector for one upgrade index. Must be
   /// deterministic per index (a fresh injector from a derived seed) so a
@@ -118,10 +129,12 @@ class CampaignRunner {
   CampaignRunner(core::Evaluator* evaluator, const core::MagusPlanner* planner,
                  CampaignOptions options = {});
 
-  /// Executes (or resumes) the campaign. Throws std::runtime_error when
-  /// the recovered journal does not match this campaign (different seed,
-  /// upgrade count, or per-upgrade seed); propagates JournalCrash from an
-  /// armed crash point.
+  /// Executes (or resumes) the campaign. Throws std::invalid_argument,
+  /// before anything is journaled, when `env.plans` is set but not
+  /// parallel to `upgrades` or a carried plan's UE density does not fit
+  /// the model; std::runtime_error when the recovered journal does not
+  /// match this campaign (different seed, upgrade count, or per-upgrade
+  /// seed); propagates JournalCrash from an armed crash point.
   [[nodiscard]] CampaignResult run(
       std::span<const traffic::PlannedUpgrade> upgrades,
       const traffic::CampaignSchedule& schedule,

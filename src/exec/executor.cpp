@@ -385,7 +385,7 @@ ExecutionTrace MigrationExecutor::execute(const core::GradualPlan& plan,
   sort_unique(trace.quarantined_sectors);
 
   // Entry state: the plan's C_before. The planner leaves the model at
-  // C_after, so re-arm it explicitly; the UE density stays as frozen. The
+  // C_after, so re-arm it explicitly; the UE density is the plan's. The
   // baseline rates are captured here even when resuming — they are a
   // function of the entry configuration, so re-deriving them beats
   // journaling them.

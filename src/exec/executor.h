@@ -221,8 +221,11 @@ class MigrationExecutor {
 
   /// Plays `plan` (targets ramping down toward off-air) on the live
   /// model. The model is reset to the plan's first-step configuration on
-  /// entry (or the resume checkpoint's live configuration); the UE density
-  /// must already be frozen (plan_upgrade leaves it so). `seed` drives all
+  /// entry (or the resume checkpoint's live configuration). The model's UE
+  /// density must be the one the plan was made under, the owning
+  /// MitigationPlan's ue_density: CampaignRunner sets it from the plan
+  /// before every upgrade, and a plan_upgrade just before the call leaves
+  /// it so. `seed` drives all
   /// stochastic fault outcomes (handover failures) deterministically and
   /// must match the original run when resuming. Propagates JournalCrash
   /// from an armed crash point — the model is then mid-flight and must be

@@ -34,6 +34,7 @@ CampaignResult FleetRunner::run_market(const MarketCampaignRefs& refs,
   const CampaignRunner runner{refs.evaluator, refs.planner, options};
 
   CampaignEnv env;
+  env.plans = refs.plans;
   env.contingencies = refs.contingencies;
   env.injector_factory = refs.injector_factory;
 

@@ -25,6 +25,9 @@ struct MarketCampaignRefs {
   /// into the per-market campaign seed and useful for log attribution.
   std::int32_t market_key = 0;
   std::span<const traffic::PlannedUpgrade> upgrades;
+  /// Plans made for `upgrades` before execution (CampaignEnv::plans);
+  /// empty = each upgrade is planned when it runs.
+  std::span<const core::MitigationPlan> plans;
   const traffic::CampaignSchedule* schedule = nullptr;
   core::Evaluator* evaluator = nullptr;
   const core::MagusPlanner* planner = nullptr;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -31,6 +32,26 @@ struct WaveMetrics {
     return metrics;
   }
 };
+
+/// The plan-integrity guard: carried plans must be the ones plan_market
+/// made, re-hashed through the same fingerprint chain.
+void check_carried_plans(const MarketPlan& market) {
+  if (market.plans.empty()) return;
+  const std::string name = "WavePlanner: market " +
+                           std::to_string(market.market) + ": ";
+  if (market.plans.size() != market.upgrades.size()) {
+    throw std::invalid_argument(name +
+                                "carried plans are not parallel to upgrades");
+  }
+  std::uint64_t hash = util::kFnv1aOffsetBasis;
+  for (const core::MitigationPlan& plan : market.plans) {
+    hash = plan_fingerprint(plan.search.config, plan.recovery, hash);
+  }
+  if (hash != market.fingerprint) {
+    throw std::invalid_argument(
+        name + "carried plans do not match the planned fingerprint");
+  }
+}
 
 }  // namespace
 
@@ -116,7 +137,7 @@ MarketPlan WavePlanner::plan_market(const MarketUpgradeRequest& request) {
 
   for (const std::vector<net::SectorId>& targets :
        upgrade_targets_for(handle->network(), request.max_sites)) {
-    const core::MitigationPlan site_plan = planner.plan_upgrade(targets);
+    core::MitigationPlan site_plan = planner.plan_upgrade(targets);
     if (site_plan.recovery < floor) {
       plan.deferred.emplace_back(handle->network().sector(targets.front()).site,
                                  site_plan.recovery);
@@ -131,6 +152,7 @@ MarketPlan WavePlanner::plan_market(const MarketUpgradeRequest& request) {
     plan.min_recovery = std::min(plan.min_recovery, site_plan.recovery);
     plan.fingerprint = plan_fingerprint(site_plan.search.config,
                                         site_plan.recovery, plan.fingerprint);
+    plan.plans.push_back(std::move(site_plan));
     metrics.upgrades_planned.add(1);
   }
   plan.schedule =
@@ -163,6 +185,7 @@ FleetWavePlan WavePlanner::plan(
 FleetExecutionResult WavePlanner::execute(const FleetWavePlan& plan,
                                           const FleetExecutionOptions& options) {
   MAGUS_TRACE_SPAN("fleet.execute", "fleet");
+  for (const MarketPlan& market : plan.markets) check_carried_plans(market);
   if (!options.journal_dir.empty()) {
     std::filesystem::create_directories(options.journal_dir);
   }
@@ -194,6 +217,7 @@ FleetExecutionResult WavePlanner::execute(const FleetWavePlan& plan,
     exec::MarketCampaignRefs refs;
     refs.market_key = market;
     refs.upgrades = it->upgrades;
+    refs.plans = it->plans;
     refs.schedule = &it->schedule;
     refs.evaluator = &evaluator;
     refs.planner = &planner;

@@ -19,7 +19,10 @@
 //
 // execute() replays the wave market by market through exec::FleetRunner:
 // one crash-safe CampaignRunner per market with its own derived seed and
-// its own write-ahead journal file.
+// its own write-ahead journal file. Each market runs the plans plan()
+// made (MarketPlan::plans) — re-planning only where a quarantine shrinks
+// an upgrade's tuning set — after checking that those plans still hash to
+// the market's fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +73,9 @@ struct MarketPlan {
   MarketId market = 0;
   std::vector<traffic::PlannedUpgrade> upgrades;  ///< scheduled only
   std::vector<double> recoveries;                 ///< parallel to upgrades
+  /// The full mitigation plans, parallel to upgrades; execute() runs
+  /// them. Empty = execute() plans each upgrade again when it runs.
+  std::vector<core::MitigationPlan> plans;
   traffic::CampaignSchedule schedule;
   /// Upgrades dropped for missing the recovery floor, as (site id,
   /// predicted recovery) pairs.
@@ -146,7 +152,10 @@ class WavePlanner {
   /// Executes a planned wave market by market (wave first-appearance
   /// order), re-acquiring each market through the store — possibly
   /// rematerializing it if evicted since planning, which is safe because
-  /// rematerialization is bit-identical.
+  /// rematerialization is bit-identical. Before any market runs, every
+  /// market's carried plans must be parallel to its upgrades and re-hash
+  /// (plan_fingerprint) to its fingerprint; otherwise throws
+  /// std::invalid_argument naming the market, with nothing journaled.
   [[nodiscard]] FleetExecutionResult execute(
       const FleetWavePlan& plan, const FleetExecutionOptions& options = {});
 

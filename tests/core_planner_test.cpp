@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/planner.h"
 #include "core/strategies.h"
+#include "obs/metrics.h"
 #include "test_helpers.h"
 
 namespace magus::core {
@@ -131,6 +134,108 @@ TEST_F(PrePlanTest, FeedbackRespectsMoveSetFlags) {
   nothing.allow_tilt = false;
   const FeedbackRun idle = run_feedback_search(evaluator_, involved, nothing);
   EXPECT_TRUE(idle.utility_per_step.empty());
+}
+
+
+[[nodiscard]] std::uint64_t index_builds() {
+  return obs::MetricsRegistry::global().counter("model.index.builds").value();
+}
+
+/// A fresh LineWorld market, so every case starts with no coverage index.
+struct LineMarket {
+  LineWorld world{10, 9.0};
+  model::AnalysisModel model{&world.network, world.provider.get()};
+  Evaluator evaluator{&model, Utility::performance()};
+
+  LineMarket() { model.freeze_uniform_ue_density(); }
+
+  [[nodiscard]] static PlannerOptions options() {
+    PlannerOptions options;
+    options.mode = TuningMode::kPower;
+    options.neighbor_radius_m = 2'000.0;
+    options.threads = 1;
+    return options;
+  }
+};
+
+TEST(PlannerLazyBinding, ConstructionBuildsNothing) {
+  LineMarket market;
+  const std::uint64_t before = index_builds();
+  const MagusPlanner planner{&market.evaluator, LineMarket::options()};
+  EXPECT_FALSE(market.model.use_coverage_index());
+  EXPECT_EQ(market.model.market_context().coverage_index(), nullptr);
+  EXPECT_EQ(index_builds(), before);
+}
+
+TEST(PlannerLazyBinding, EveryEntryPointBindsOnFirstUse) {
+  const std::vector<net::SectorId> targets = {1};  // LineWorld east
+  const std::vector<
+      std::pair<const char*, std::function<void(const MagusPlanner&)>>>
+      entry_points = {
+          {"plan_upgrade",
+           [&](const MagusPlanner& p) { (void)p.plan_upgrade(targets); }},
+          {"replan_from_current",
+           [&](const MagusPlanner& p) {
+             (void)p.replan_from_current(targets);
+           }},
+          {"parallel_evaluator",
+           [](const MagusPlanner& p) { (void)p.parallel_evaluator(); }},
+      };
+  for (const auto& [name, call] : entry_points) {
+    LineMarket market;
+    const MagusPlanner planner{&market.evaluator, LineMarket::options()};
+    const std::uint64_t before = index_builds();
+    call(planner);
+    EXPECT_TRUE(market.model.use_coverage_index()) << name;
+    EXPECT_EQ(index_builds(), before + 1) << name;
+    call(planner);  // bound once: later calls build nothing
+    EXPECT_EQ(index_builds(), before + 1) << name;
+  }
+}
+
+TEST(PlannerLazyBinding, LazyPlanEqualsEagerlyBoundPlan) {
+  const std::vector<net::SectorId> targets = {1};  // LineWorld east
+  LineMarket lazy_market;
+  const MitigationPlan lazy =
+      MagusPlanner{&lazy_market.evaluator, LineMarket::options()}
+          .plan_upgrade(targets);
+
+  LineMarket eager_market;
+  const MagusPlanner eager_planner{&eager_market.evaluator,
+                                   LineMarket::options()};
+  (void)eager_planner.parallel_evaluator();
+  const MitigationPlan eager = eager_planner.plan_upgrade(targets);
+
+  EXPECT_EQ(lazy.c_before, eager.c_before);
+  EXPECT_EQ(lazy.search.config, eager.search.config);
+  EXPECT_EQ(lazy.f_before, eager.f_before);
+  EXPECT_EQ(lazy.f_after, eager.f_after);
+  EXPECT_EQ(lazy.recovery, eager.recovery);
+  EXPECT_EQ(lazy.search.candidate_evaluations,
+            eager.search.candidate_evaluations);
+  ASSERT_EQ(lazy.gradual.steps.size(), eager.gradual.steps.size());
+  for (std::size_t k = 0; k < lazy.gradual.steps.size(); ++k) {
+    EXPECT_EQ(lazy.gradual.steps[k].config, eager.gradual.steps[k].config);
+    EXPECT_EQ(lazy.gradual.steps[k].utility, eager.gradual.steps[k].utility);
+  }
+  EXPECT_EQ(lazy.ue_density, eager.ue_density);
+}
+
+TEST(PlannerLazyBinding, PlansCarryTheirDensity) {
+  LineMarket market;
+  const MagusPlanner planner{&market.evaluator, LineMarket::options()};
+  const std::vector<net::SectorId> targets = {1};  // LineWorld east
+  const MitigationPlan plan = planner.plan_upgrade(targets);
+  // The density frozen at C_before, still the model's after planning.
+  const std::span<const double> frozen = market.model.ue_density();
+  EXPECT_EQ(plan.ue_density,
+            std::vector<double>(frozen.begin(), frozen.end()));
+
+  // An emergency re-plan runs under the density it finds.
+  std::vector<double> custom(frozen.size(), 1.0);
+  market.model.set_ue_density(custom);
+  const MitigationPlan replan = planner.replan_from_current(targets);
+  EXPECT_EQ(replan.ue_density, custom);
 }
 
 }  // namespace

@@ -578,6 +578,33 @@ TEST_F(CampaignTest, ResumeRejectsMismatchedCampaign) {
   std::remove(path.c_str());
 }
 
+TEST_F(CampaignTest, CarriedPlansMustFitTheCampaign) {
+  const CampaignScenario scenario = make_scenario();
+  const CampaignRunner runner{evaluator_.get(), planner_.get(),
+                              campaign_options()};
+  const std::string path = journal_path("magus_campaign_carried.wal");
+  Journal journal{path, Journal::Mode::kTruncate};
+  std::vector<core::MitigationPlan> plans;
+  for (const traffic::PlannedUpgrade& upgrade : scenario.upgrades) {
+    plans.push_back(planner_->plan_upgrade(upgrade.targets));
+  }
+
+  // Not parallel to the upgrade list.
+  CampaignEnv env = make_env(scenario, &journal);
+  env.plans = std::span{plans}.first(1);
+  EXPECT_THROW((void)runner.run(scenario.upgrades, scenario.schedule, env),
+               std::invalid_argument);
+
+  // A density that does not fit the model's grid.
+  plans[1].ue_density.pop_back();
+  env.plans = plans;
+  EXPECT_THROW((void)runner.run(scenario.upgrades, scenario.schedule, env),
+               std::invalid_argument);
+  // Both refusals came before the campaign journaled anything.
+  EXPECT_EQ(journal.records_written(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(CampaignSeeds, UpgradeSeedsAreDeterministicAndDistinct) {
   EXPECT_EQ(upgrade_seed(1, 0), upgrade_seed(1, 0));
   EXPECT_NE(upgrade_seed(1, 0), upgrade_seed(1, 1));

@@ -1,12 +1,15 @@
 // Fleet layer: seeded multi-market generation, the byte-budgeted
 // MarketStore (LRU, eviction, bit-identical rematerialization) and the
 // WavePlanner (per-market plans identical to the single-market path,
-// crew-capped wave composition, journaled execution).
+// crew-capped wave composition, journaled execution of the carried plans).
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
+#include "exec/fault_injector.h"
 #include "fleet/wave_planner.h"
+#include "obs/metrics.h"
 #include "test_helpers.h"
 #include "util/checksum.h"
 
@@ -363,6 +366,209 @@ TEST(WavePlanner, ExecutesWaveWithPerMarketJournals) {
   for (const MarketExecution& market : resumed.markets) {
     EXPECT_GE(market.result.resumes, 1);
   }
+}
+
+
+[[nodiscard]] std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// The plan as a caller without carried plans would hold it: execute()
+/// then plans every upgrade when it runs.
+[[nodiscard]] FleetWavePlan strip_plans(FleetWavePlan plan) {
+  for (MarketPlan& market : plan.markets) market.plans.clear();
+  return plan;
+}
+
+[[nodiscard]] std::map<MarketId, std::string> result_dumps(
+    const FleetExecutionResult& result) {
+  std::map<MarketId, std::string> dumps;
+  for (const MarketExecution& market : result.markets) {
+    dumps[market.market] = market.result.to_json().dump();
+  }
+  return dumps;
+}
+
+/// Per-upgrade outcome + trace, without the resume bookkeeping that
+/// CampaignResult::to_json carries.
+[[nodiscard]] std::vector<std::string> trace_dumps(
+    const FleetExecutionResult& result) {
+  std::vector<std::string> dumps;
+  for (const MarketExecution& market : result.markets) {
+    for (const exec::UpgradeResult& upgrade : market.result.upgrades) {
+      dumps.push_back(std::to_string(market.market) + "/" +
+                      std::to_string(upgrade.upgrade) + " " +
+                      exec::upgrade_outcome_name(upgrade.outcome) + " " +
+                      upgrade.trace.to_json().dump());
+    }
+  }
+  return dumps;
+}
+
+/// Seeded outages on each upgrade's involved set; a threshold-1 breaker
+/// turns them into quarantines, so later windows re-plan.
+void arm_outages(const FleetWavePlan& plan, FleetExecutionOptions& options) {
+  options.campaign.quarantine.fault_threshold = 1;
+  options.injectors = [&plan, seed = options.campaign.seed](MarketId market) {
+    const auto it =
+        std::find_if(plan.markets.begin(), plan.markets.end(),
+                     [&](const MarketPlan& m) { return m.market == market; });
+    std::vector<traffic::PlannedUpgrade> upgrades = it->upgrades;
+    return [upgrades, market, seed](std::size_t upgrade)
+               -> std::unique_ptr<exec::FaultInjector> {
+      exec::RandomFaultOptions fopts;
+      fopts.outage_probability_per_step = 0.3;
+      fopts.outage_candidates = upgrades[upgrade].involved;
+      return std::make_unique<exec::RandomFaultInjector>(
+          exec::upgrade_seed(exec::market_campaign_seed(seed, market),
+                             upgrade),
+          fopts);
+    };
+  };
+}
+
+/// Executing the carried plans must give byte-identical campaign results
+/// to re-planning every upgrade, under a budget that evicts every market
+/// between plan() and execute(); a resume from a torn journal must then
+/// reproduce the uninterrupted traces.
+void expect_carried_execution_matches_replanning(const std::string& name,
+                                                 bool outages) {
+  const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(3));
+  const std::string dir = fresh_dir(name + "_db");
+  const std::vector<MarketUpgradeRequest> requests = {
+      {0, 3}, {1, 3}, {2, 3}};
+  StoreOptions options = store_options(dir);
+  options.prefer_mapped = false;  // whole-market eviction, not releases
+  std::size_t peak = 0;
+  {
+    MarketStore unbounded{specs, options};
+    WavePlanner probe{&unbounded, test_planner_options()};
+    (void)probe.plan(requests);
+    peak = unbounded.peak_resident_bytes();
+  }
+  options.byte_budget = peak / 3;
+  MarketStore store{specs, options};
+  WavePlanner planner{&store, test_planner_options()};
+  const FleetWavePlan plan = planner.plan(requests);
+  ASSERT_EQ(plan.markets.size(), 3u);
+  ASSERT_FALSE(store.resident(0));  // evicted between plan and execute
+  for (const MarketPlan& market : plan.markets) {
+    ASSERT_EQ(market.plans.size(), market.upgrades.size());
+  }
+
+  FleetExecutionOptions exec_options;
+  exec_options.campaign.seed = 33;
+  if (outages) arm_outages(plan, exec_options);
+  exec_options.journal_dir = fresh_dir(name + "_carried");
+  const std::uint64_t carried_before =
+      counter_value("exec.campaign.plans_carried");
+  const std::uint64_t replanned_before =
+      counter_value("exec.campaign.plans_replanned");
+  const FleetExecutionResult carried = planner.execute(plan, exec_options);
+  const std::uint64_t carried_runs =
+      counter_value("exec.campaign.plans_carried") - carried_before;
+  const std::uint64_t replanned_runs =
+      counter_value("exec.campaign.plans_replanned") - replanned_before;
+  EXPECT_GT(carried_runs, 0u);
+  if (outages) {
+    // Both branches ran: quarantined windows re-planned.
+    EXPECT_GT(carried.quarantine_events, 0);
+    EXPECT_GT(replanned_runs, 0u);
+  } else {
+    EXPECT_EQ(replanned_runs, 0u);
+  }
+
+  FleetExecutionOptions stripped_options = exec_options;
+  stripped_options.journal_dir = fresh_dir(name + "_stripped");
+  const FleetExecutionResult replanned =
+      planner.execute(strip_plans(plan), stripped_options);
+  ASSERT_EQ(carried.markets.size(), 3u);
+  EXPECT_EQ(result_dumps(carried), result_dumps(replanned));
+
+  // Tear the middle market's journal and drop the later ones: the resume
+  // replays, continues mid-campaign and reproduces every trace.
+  const std::size_t mid = carried.markets.size() / 2;
+  for (std::size_t i = mid; i < carried.markets.size(); ++i) {
+    const std::filesystem::path path =
+        std::filesystem::path{exec_options.journal_dir} /
+        ("market_" + std::to_string(carried.markets[i].market) + ".journal");
+    if (i == mid) {
+      std::filesystem::resize_file(path,
+                                   std::filesystem::file_size(path) / 2);
+    } else {
+      std::filesystem::remove(path);
+    }
+  }
+  FleetExecutionOptions resume_options = exec_options;
+  resume_options.resume = true;
+  const FleetExecutionResult resumed = planner.execute(plan, resume_options);
+  EXPECT_EQ(trace_dumps(resumed), trace_dumps(carried));
+}
+
+TEST(WavePlanner, CarriedPlansExecuteLikeReplanning) {
+  expect_carried_execution_matches_replanning("fleet_carried_clean", false);
+}
+
+TEST(WavePlanner, CarriedPlansExecuteLikeReplanningUnderQuarantine) {
+  expect_carried_execution_matches_replanning("fleet_carried_faults", true);
+}
+
+TEST(WavePlanner, ExecuteOnFreshStoreBuildsNoIndex) {
+  const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(2));
+  const std::string dir = fresh_dir("fleet_exec_no_index");
+  const std::vector<MarketUpgradeRequest> requests = {{0, 2}, {1, 2}};
+  MarketStore planning_store{specs, store_options(dir)};
+  const FleetWavePlan plan =
+      WavePlanner{&planning_store, test_planner_options()}.plan(requests);
+
+  // A fresh store acquires every market cold; running only carried plans
+  // never searches, so no coverage index is built.
+  MarketStore store{specs, store_options(dir)};
+  WavePlanner planner{&store, test_planner_options()};
+  const std::uint64_t builds_before = counter_value("model.index.builds");
+  const std::uint64_t replanned_before =
+      counter_value("exec.campaign.plans_replanned");
+  const FleetExecutionResult result = planner.execute(plan);
+  EXPECT_EQ(result.upgrades_completed, plan.upgrades_total());
+  EXPECT_EQ(counter_value("model.index.builds"), builds_before);
+  EXPECT_EQ(counter_value("exec.campaign.plans_replanned"), replanned_before);
+}
+
+TEST(WavePlanner, ExecuteRejectsPlansThatDoNotMatchTheFingerprint) {
+  const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(2));
+  MarketStore store{specs, store_options(fresh_dir("fleet_exec_guard_db"))};
+  WavePlanner planner{&store, test_planner_options()};
+  const std::vector<MarketUpgradeRequest> requests = {{0, 2}, {1, 2}};
+  const FleetWavePlan plan = planner.plan(requests);
+  ASSERT_FALSE(plan.markets[1].plans.empty());
+
+  FleetExecutionOptions exec_options;
+  exec_options.journal_dir = fresh_dir("fleet_exec_guard_journals");
+  const auto expect_rejected = [&](const FleetWavePlan& bad) {
+    try {
+      (void)planner.execute(bad, exec_options);
+      ADD_FAILURE() << "execute accepted a plan that was not made";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("market 1"),
+                std::string::npos)
+          << error.what();
+    }
+    // Rejected before any market ran: no journal record anywhere.
+    EXPECT_TRUE(!std::filesystem::exists(exec_options.journal_dir) ||
+                std::filesystem::is_empty(exec_options.journal_dir));
+  };
+
+  // An edited C_after no longer hashes to the market's fingerprint...
+  FleetWavePlan edited = plan;
+  net::SectorSetting& setting =
+      edited.markets[1].plans.front().search.config[0];
+  setting.power_dbm += 1.0;
+  expect_rejected(edited);
+
+  // ...and plans that are not parallel to the upgrades are refused too.
+  FleetWavePlan short_plans = plan;
+  short_plans.markets[1].plans.pop_back();
+  expect_rejected(short_plans);
 }
 
 }  // namespace
