@@ -73,12 +73,11 @@ struct ScenarioOutcome {
 [[nodiscard]] inline ScenarioOutcome run_scenario(
     data::Experiment& experiment, data::UpgradeScenario scenario,
     core::TuningMode mode, const core::Utility& utility,
-    std::size_t threads = 0, bool use_coverage_index = true) {
+    std::size_t threads = 0) {
   core::Evaluator evaluator{&experiment.model(), utility};
   core::PlannerOptions options;
   options.mode = mode;
   options.threads = threads;
-  options.use_coverage_index = use_coverage_index;
   core::MagusPlanner planner{&evaluator, options};
   const auto targets = data::upgrade_targets(experiment.market(), scenario);
 

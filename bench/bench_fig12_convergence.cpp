@@ -20,9 +20,6 @@ int main(int argc, char** argv) {
   util::ArgParser args{"Figure 12: convergence speed of tuning strategies"};
   bench::add_scale_flags(args);
   args.add_flag("post-steps", "40", "steps plotted after the upgrade");
-  args.add_flag("no-index", "false",
-                "plan on the legacy all-sectors scan instead of the "
-                "coverage index (identical plan; baseline timing)");
   args.add_flag("csv", "", "optional CSV output path");
   args.add_flag("json", "", "optional JSON summary path (timing + speedup)");
   try {
@@ -43,15 +40,13 @@ int main(int argc, char** argv) {
   // The planning run is timed so --json can report evaluation throughput;
   // every run starts from the same initial configuration, so the plan is
   // identical for any thread count.
-  const bool use_index = !args.get_bool("no-index");
   const net::Configuration initial = experiment.model().configuration();
   const auto timed_scenario = [&](std::size_t run_threads) {
     experiment.model().set_configuration(initial);
     const auto start = std::chrono::steady_clock::now();
     bench::ScenarioOutcome run = bench::run_scenario(
         experiment, data::UpgradeScenario::kSingleSector,
-        core::TuningMode::kJoint, core::Utility::performance(), run_threads,
-        use_index);
+        core::TuningMode::kJoint, core::Utility::performance(), run_threads);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     return std::pair{run, wall.count()};
@@ -71,7 +66,6 @@ int main(int argc, char** argv) {
     summary.set("meta", obs::run_metadata_json());
     summary.set("bench", "fig12_convergence");
     summary.set("threads", static_cast<std::int64_t>(threads));
-    summary.set("use_coverage_index", use_index);
     summary.set("candidate_evaluations",
                 static_cast<std::int64_t>(outcome.candidate_evaluations));
     summary.set("wall_s_1_thread", wall_1);

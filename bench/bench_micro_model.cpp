@@ -6,12 +6,10 @@
 // Beyond the google-benchmark flags, the binary accepts:
 //   --threads N   worker threads for the parallel-scoring benchmarks
 //                 (0 = hardware concurrency; peeled before benchmark init)
-//   --no-index    run the model benchmarks on the legacy all-sectors scan
-//                 instead of the grid-major coverage index (baselines)
 //   --json PATH   write a machine-readable summary of the batch-scoring
 //                 throughput (evaluations/sec, wall time, speedup vs 1
-//                 thread) plus the index-vs-legacy speedups on the
-//                 demotion/rebuild workload to PATH
+//                 thread), the full-rebuild time, and the index-vs-legacy
+//                 speedup on the demotion workload to PATH
 //   --scaling     add a thread-scaling sweep to the --json artifact: the
 //                 batch-scoring pass at 1/2/4/8 workers, one keyed row
 //                 each under "scaling" (t1/t2/t4/t8)
@@ -44,7 +42,6 @@ namespace {
 using namespace magus;
 
 std::size_t g_threads = 1;  ///< --threads (resolved)
-bool g_use_index = true;    ///< --no-index flips this off
 bool g_scaling = false;     ///< --scaling adds the thread sweep to --json
 
 [[nodiscard]] std::size_t micro_threads() { return g_threads; }
@@ -64,15 +61,11 @@ data::Experiment& shared_experiment() {
   return experiment;
 }
 
-/// The shared model, bound to the coverage index unless --no-index.
+/// The shared model, bound to the coverage index.
 model::AnalysisModel& shared_model() {
   model::AnalysisModel& model = shared_experiment().model();
-  if (g_use_index) {
-    model.market_context().ensure_coverage_index();
-    model.set_use_coverage_index(true);
-  } else {
-    model.set_use_coverage_index(false);
-  }
+  model.market_context().ensure_coverage_index();
+  model.bind_coverage_index();
   return model;
 }
 
@@ -175,7 +168,7 @@ void BM_PowerSearchFull(benchmark::State& state) {
   data::Experiment& experiment = shared_experiment();
   model::AnalysisModel& model = shared_model();
   core::ParallelEvaluator evaluator{&model, core::Utility::performance(),
-                                    micro_threads(), g_use_index};
+                                    micro_threads()};
   const auto targets = data::upgrade_targets(
       experiment.market(), data::UpgradeScenario::kSingleSector);
   for (auto _ : state) {
@@ -199,7 +192,7 @@ void BM_BatchScore(benchmark::State& state) {
   model.freeze_uniform_ue_density();
   core::ParallelEvaluator evaluator{
       &model, core::Utility::performance(),
-      static_cast<std::size_t>(state.range(0)), g_use_index};
+      static_cast<std::size_t>(state.range(0))};
   core::CandidateBatch batch;
   for (std::size_t s = 0; s < model.network().sector_count(); ++s) {
     batch.push_back(core::Candidate::single(core::Mutation::power(
@@ -254,48 +247,47 @@ BENCHMARK(BM_DemotionRebuild)->Unit(benchmark::kMillisecond);
 
 /// Timed batch-scoring sweep for the --json artifact: same work at 1 thread
 /// and at --threads, reporting throughput and the measured speedup, plus
-/// the index-vs-legacy comparison on the demotion/rebuild workload (both
-/// paths measured in this run, whatever --no-index says, so one artifact
-/// carries the whole story).
+/// the full-rebuild time and the index-vs-legacy comparison on the
+/// demotion workload.
 void write_json_summary(const std::string& path) {
   using Clock = std::chrono::steady_clock;
-  model::AnalysisModel& model = shared_experiment().model();
-  model.market_context().ensure_coverage_index();
+  data::Experiment& experiment = shared_experiment();
+  model::AnalysisModel& model = shared_model();
   const net::Configuration defaults = model.network().default_configuration();
+  // A model stays unbound until its first search binds it, so the
+  // all-sectors scan is still a production state: a fresh model over the
+  // same market measures it.
+  model::AnalysisModel unbound{&experiment.network(), &experiment.provider(),
+                               model.options()};
 
-  // Index-vs-legacy on the demotion (set_active off/on of the busiest
-  // sector) and full-rebuild workloads. Identical mutation sequences;
-  // only the scan paths differ.
+  // Bound vs unbound on the demotion workload (set_active off/on of the
+  // busiest sector). Identical mutation sequences; only the top-2 scan
+  // differs.
   constexpr int kModelRounds = 40;
   model.set_configuration(defaults);
   const net::SectorId demotion_target = busiest_sector(model);
-  const auto timed_demotion = [&](bool use_index) {
-    model.set_use_coverage_index(use_index);
-    model.set_configuration(defaults);
-    model.set_active(demotion_target, false);  // warm up
-    model.set_active(demotion_target, true);
+  const auto timed_demotion = [&](model::AnalysisModel& m) {
+    m.set_configuration(defaults);
+    m.set_active(demotion_target, false);  // warm up
+    m.set_active(demotion_target, true);
     const auto start = Clock::now();
     for (int round = 0; round < kModelRounds; ++round) {
-      model.set_active(demotion_target, false);
-      model.set_active(demotion_target, true);
+      m.set_active(demotion_target, false);
+      m.set_active(demotion_target, true);
     }
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
-  const auto timed_rebuild = [&](bool use_index) {
-    model.set_use_coverage_index(use_index);
-    model.set_configuration(defaults);  // warm up
-    const auto start = Clock::now();
-    for (int round = 0; round < kModelRounds; ++round) {
-      model.set_configuration(defaults);
-    }
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-  const double demotion_legacy_s = timed_demotion(false);
-  const double demotion_index_s = timed_demotion(true);
-  const double rebuild_legacy_s = timed_rebuild(false);
-  const double rebuild_index_s = timed_rebuild(true);
+  const double demotion_legacy_s = timed_demotion(unbound);
+  const double demotion_index_s = timed_demotion(model);
 
-  model.set_use_coverage_index(g_use_index);
+  model.set_configuration(defaults);  // warm up
+  const auto rebuild_start = Clock::now();
+  for (int round = 0; round < kModelRounds; ++round) {
+    model.set_configuration(defaults);
+  }
+  const double rebuild_s =
+      std::chrono::duration<double>(Clock::now() - rebuild_start).count();
+
   model.set_configuration(defaults);
   model.freeze_uniform_ue_density();
 
@@ -314,7 +306,7 @@ void write_json_summary(const std::string& path) {
   std::size_t parallel_workers = 0;
   const auto timed_run = [&](std::size_t threads, std::size_t& workers) {
     core::ParallelEvaluator evaluator{&model, core::Utility::performance(),
-                                      threads, g_use_index};
+                                      threads};
     workers = evaluator.thread_count();
     (void)evaluator.score(batch);  // warm up worker clones
     const auto start = Clock::now();
@@ -336,7 +328,6 @@ void write_json_summary(const std::string& path) {
       .set("rounds", static_cast<std::int64_t>(kRounds))
       .set("threads", static_cast<std::int64_t>(parallel_workers))
       .set("threads_serial_pass", static_cast<std::int64_t>(serial_workers))
-      .set("use_coverage_index", g_use_index)
       .set("wall_s_1_thread", serial_s)
       .set("wall_s", parallel_s)
       .set("evals_per_sec_1_thread", evals / serial_s)
@@ -347,9 +338,7 @@ void write_json_summary(const std::string& path) {
       .set("demotion_ms_legacy", 1e3 * demotion_legacy_s / kModelRounds)
       .set("demotion_ms_index", 1e3 * demotion_index_s / kModelRounds)
       .set("demotion_speedup", demotion_legacy_s / demotion_index_s)
-      .set("rebuild_ms_legacy", 1e3 * rebuild_legacy_s / kModelRounds)
-      .set("rebuild_ms_index", 1e3 * rebuild_index_s / kModelRounds)
-      .set("rebuild_speedup", rebuild_legacy_s / rebuild_index_s);
+      .set("rebuild_ms", 1e3 * rebuild_s / kModelRounds);
 
   if (g_scaling) {
     // Thread-scaling sweep: the same batch-scoring pass at 1/2/4/8
@@ -395,9 +384,7 @@ int main(int argc, char** argv) {
       if (argv[i][len] == '\0' && i + 1 < argc) return argv[++i];
       return nullptr;
     };
-    if (std::strcmp(argv[i], "--no-index") == 0) {
-      g_use_index = false;
-    } else if (std::strcmp(argv[i], "--scaling") == 0) {
+    if (std::strcmp(argv[i], "--scaling") == 0) {
       g_scaling = true;
     } else if (const char* v = take_value("--threads")) {
       g_threads = util::resolve_thread_count(

@@ -3,13 +3,12 @@
 # or (--check) re-runs the benches and diffs the fresh artifacts against
 # the committed ones through scripts/bench_regress.py.
 #
-# Runs the micro-model benchmark (which measures the coverage-index vs
-# legacy demotion/rebuild workloads internally and reports both), the
-# Figure 12 convergence bench twice — with the coverage index and with
-# --no-index — and the path-loss build bench (legacy per-cell kernel vs
-# batched serial vs batched parallel at 8 threads), so BENCH_model.json,
-# the two convergence summaries and BENCH_pathloss.json together capture
-# the before/after picture for the current commit.
+# Runs the micro-model benchmark (which times the full rebuild and the
+# demotion workload on a bound model against an unbound one, and reports
+# both), the Figure 12 convergence bench, the path-loss build bench (legacy
+# per-cell kernel vs batched serial vs batched parallel at 8 threads), the
+# streaming, recovery and fleet benches, so the BENCH_*.json artifacts
+# together capture the performance picture for the current commit.
 #
 # The parallel passes pin --threads 8 explicitly: --threads 0 resolves to
 # the hardware concurrency, which on a single-core CI box silently turns
@@ -49,7 +48,7 @@ if (( check )); then
   echo "== check mode: fresh artifacts in $out_dir, diffed against ./BENCH_*.json =="
 fi
 
-echo "== micro-model kernels (index + legacy + thread scaling, one artifact) =="
+echo "== micro-model kernels (rebuild, demotion, thread scaling; one artifact) =="
 "$BUILD_DIR/bench/bench_micro_model" --threads 8 --scaling \
   --benchmark_filter='BM_DemotionRebuild|BM_FullRebuild|BM_UtilityEvaluation' \
   --json "$out_dir/BENCH_model.json"
@@ -57,10 +56,6 @@ echo "== micro-model kernels (index + legacy + thread scaling, one artifact) =="
 echo "== fig12 convergence, coverage index =="
 "$BUILD_DIR/bench/bench_fig12_convergence" \
   --json "$out_dir/BENCH_fig12_index.json" >/dev/null
-
-echo "== fig12 convergence, legacy scan (--no-index) =="
-"$BUILD_DIR/bench/bench_fig12_convergence" --no-index \
-  --json "$out_dir/BENCH_fig12_noindex.json" >/dev/null
 
 echo "== path-loss build pipeline (legacy vs batched, 8 threads) =="
 "$BUILD_DIR/bench/bench_pathloss_build" --threads 8 \
@@ -87,7 +82,7 @@ if (( check )); then
 fi
 
 echo
-echo "Artifacts: BENCH_model.json BENCH_fig12_index.json BENCH_fig12_noindex.json BENCH_pathloss.json BENCH_streaming.json BENCH_recovery.json BENCH_fleet.json"
+echo "Artifacts: BENCH_model.json BENCH_fig12_index.json BENCH_pathloss.json BENCH_streaming.json BENCH_recovery.json BENCH_fleet.json"
 python3 - <<'PY' 2>/dev/null || true
 import json
 m = json.load(open('BENCH_model.json'))
@@ -98,7 +93,7 @@ for key, row in sorted(m.get('scaling', {}).items()):
     print(f"  scaling {key}: {row['evals_per_sec']:.1f} evals/s "
           f"({row['speedup_vs_1_thread']:.2f}x)")
 print(f"demotion speedup (index vs legacy): {m['demotion_speedup']:.2f}x")
-print(f"rebuild  speedup (index vs legacy): {m['rebuild_speedup']:.2f}x")
+print(f"full rebuild: {m['rebuild_ms']:.2f} ms")
 print(f"index bytes: {m['index_bytes']}")
 p = json.load(open('BENCH_pathloss.json'))
 print(f"path-loss build speedup (parallel vs legacy): "

@@ -46,7 +46,6 @@ SPECS = {
         "rounds": "eq",
         "threads": "eq",
         "threads_serial_pass": "eq",
-        "use_coverage_index": "true",
         "index_bytes": "eq",
         "wall_s_1_thread": "time",
         "wall_s": "time",
@@ -56,9 +55,7 @@ SPECS = {
         "demotion_ms_legacy": "time",
         "demotion_ms_index": "time",
         "demotion_speedup": "rate",
-        "rebuild_ms_legacy": "time",
-        "rebuild_ms_index": "time",
-        "rebuild_speedup": "rate",
+        "rebuild_ms": "time",
         # --scaling sweep (keyed rows, not an array: lookup() is path
         # based). Worker counts are deterministic; walls/rates get the
         # usual noise bands. t8 speedup is not gated — on a single-core
@@ -75,15 +72,6 @@ SPECS = {
         "scaling/t8/evals_per_sec": "rate",
     },
     "BENCH_fig12_index.json": {
-        "candidate_evaluations": "eq",
-        # Final configuration + utility bit pattern: evaluation-path
-        # speedups must leave the plan bit-identical.
-        "result_fingerprint": "eq",
-        "identical_result": "true",
-        "wall_s": "time",
-        "evals_per_sec": "rate",
-    },
-    "BENCH_fig12_noindex.json": {
         "candidate_evaluations": "eq",
         # Final configuration + utility bit pattern: evaluation-path
         # speedups must leave the plan bit-identical.
@@ -293,13 +281,11 @@ def run_self_test():
             "meta": {"git_sha": "abc"},
             "simd": "avx2",
             "batch_size": 60, "rounds": 20, "threads": 8,
-            "threads_serial_pass": 1, "use_coverage_index": True,
-            "index_bytes": 1000, "wall_s_1_thread": 1.0, "wall_s": 0.5,
+            "threads_serial_pass": 1, "index_bytes": 1000, "wall_s_1_thread": 1.0, "wall_s": 0.5,
             "evals_per_sec_1_thread": 100.0, "evals_per_sec": 200.0,
             "speedup_vs_1_thread": 2.0, "demotion_ms_legacy": 1.0,
             "demotion_ms_index": 0.2, "demotion_speedup": 5.0,
-            "rebuild_ms_legacy": 2.0, "rebuild_ms_index": 1.9,
-            "rebuild_speedup": 1.05,
+            "rebuild_ms": 1.0,
             "scaling": {
                 "t1": {"threads": 1, "wall_s": 1.0,
                        "evals_per_sec": 100.0,

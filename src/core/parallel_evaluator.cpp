@@ -38,36 +38,32 @@ struct EvaluatorMetrics {
 }  // namespace
 
 ParallelEvaluator::ParallelEvaluator(model::AnalysisModel* model,
-                                     Utility utility, std::size_t threads,
-                                     bool use_coverage_index)
+                                     Utility utility, std::size_t threads)
     : model_(model),
       utility_(std::move(utility)),
       owned_pool_(std::make_unique<util::ThreadPool>(threads)),
       pool_(owned_pool_.get()) {
-  init(use_coverage_index);
+  init();
 }
 
 ParallelEvaluator::ParallelEvaluator(model::AnalysisModel* model,
-                                     Utility utility, util::ThreadPool* pool,
-                                     bool use_coverage_index)
+                                     Utility utility, util::ThreadPool* pool)
     : model_(model), utility_(std::move(utility)), pool_(pool) {
   if (pool_ == nullptr) {
     throw std::invalid_argument("ParallelEvaluator: pool must not be null");
   }
-  init(use_coverage_index);
+  init();
 }
 
-void ParallelEvaluator::init(bool use_coverage_index) {
+void ParallelEvaluator::init() {
   if (model_ == nullptr) {
     throw std::invalid_argument("ParallelEvaluator: model must not be null");
   }
-  if (use_coverage_index) {
-    // Build + bind on the driver thread, before any worker clone is made:
-    // clones copy the binding, and the index itself is immutable from here
-    // on, so the workers share it without synchronization.
-    model_->market_context().ensure_coverage_index();
-    model_->set_use_coverage_index(true);
-  }
+  // Build + bind on the driver thread, before any worker clone is made:
+  // clones copy the binding, and the index itself is immutable from here
+  // on, so the workers share it without synchronization.
+  model_->market_context().ensure_coverage_index();
+  model_->bind_coverage_index();
   workers_.resize(pool_->size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workers_[i].evals = &obs::MetricsRegistry::global().counter(

@@ -35,13 +35,12 @@ class ParallelEvaluator {
   /// `model` must outlive the evaluator. `threads == 0` resolves to the
   /// hardware concurrency; 1 gives the exact serial path.
   ///
-  /// `use_coverage_index` (the default) builds the market's grid-major
-  /// coverage index if absent and binds the driver model to it before any
-  /// worker clone exists, so every evaluation runs the CSR fast paths
-  /// (bit-identical results — see model/coverage_index.h). Pass false to
-  /// stay on the legacy all-sectors scan (benchmark baselines).
+  /// Builds the market's coverage index if absent and binds the driver
+  /// model to it before any worker clone exists, so every evaluation runs
+  /// the CSR top-2 fast path (bit-identical to the unbound scan — see
+  /// model/coverage_index.h).
   ParallelEvaluator(model::AnalysisModel* model, Utility utility,
-                    std::size_t threads = 1, bool use_coverage_index = true);
+                    std::size_t threads = 1);
 
   /// Shares an externally owned worker pool instead of spawning one. The
   /// fleet WavePlanner plans hundreds of markets with one pool: a fresh
@@ -50,7 +49,7 @@ class ParallelEvaluator {
   /// one at a time (ThreadPool::run is not reentrant), which the sequential
   /// per-market planning loop guarantees.
   ParallelEvaluator(model::AnalysisModel* model, Utility utility,
-                    util::ThreadPool* pool, bool use_coverage_index = true);
+                    util::ThreadPool* pool);
 
   [[nodiscard]] model::AnalysisModel& model() const { return *model_; }
   [[nodiscard]] const Utility& utility() const { return utility_; }
@@ -85,7 +84,7 @@ class ParallelEvaluator {
   };
 
   /// Shared tail of both constructors: index binding + worker slots.
-  void init(bool use_coverage_index);
+  void init();
 
   model::AnalysisModel* model_;
   Utility utility_;

@@ -36,10 +36,6 @@ struct PlannerOptions {
   /// must outlive the planner. This is how the fleet WavePlanner shares
   /// one worker pool across hundreds of per-market planners.
   util::ThreadPool* shared_pool = nullptr;
-  /// Run the model's CSR coverage-index fast paths (bit-identical; see
-  /// model/coverage_index.h). Off is only interesting for benchmarking
-  /// the legacy scan.
-  bool use_coverage_index = true;
   /// Locally optimize the neighborhood's powers *before* planning (the
   /// paper's premise: "radio network planners attempt to maximize coverage
   /// and minimize interference" — C_before is a planned configuration, not
@@ -86,11 +82,13 @@ struct MitigationPlan {
 class MagusPlanner {
  public:
   /// `evaluator` must outlive the planner. Construction builds nothing:
-  /// the batch evaluator (and with it the market's coverage index) is
-  /// created by the first plan_upgrade, replan_from_current or
-  /// parallel_evaluator() call, so a planner that only stands by as the
-  /// executor's re-planner costs no index build. Like plan_upgrade, that
-  /// first call mutates shared state: use a planner from one thread.
+  /// the batch evaluator is created by the first plan_upgrade,
+  /// replan_from_current or parallel_evaluator() call, which also builds
+  /// the market's coverage index and binds the model to it. Until then the
+  /// model runs unbound (bit-identical results), so a planner that only
+  /// stands by as the executor's re-planner costs no index build. Like
+  /// plan_upgrade, that first call mutates shared state: use a planner
+  /// from one thread.
   MagusPlanner(Evaluator* evaluator, PlannerOptions options = {});
 
   /// Plans mitigation for taking `targets` off-air. On entry the model may

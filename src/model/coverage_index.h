@@ -20,10 +20,11 @@
 // are detected via a per-sector plane bitmask and handled by the caller
 // with the legacy footprint probe.
 //
-// The ascending-sector-id entry order reproduces the legacy all-sector scan
-// order exactly, so both the top-2 tie-break rules (beats(): stronger
-// signal, then lower id) and the floating-point accumulation order of a
-// grid-major rebuild are bit-identical to the sector-major code paths.
+// Entries are stored in ascending sector id per row, which keeps the layout
+// deterministic. No floating-point accumulation runs in that order: every
+// full rebuild is the sector-major footprint sweep, and the index serves
+// only top-2 re-ranking, whose result under beats() (stronger signal, then
+// lower id) is a strict total order and so independent of scan order.
 //
 // Thread-safety: build on the driver thread before parallel evaluation
 // begins; afterwards the index is immutable and shared read-only by every
@@ -117,8 +118,9 @@ class CoverageIndex {
 
   /// Linear twin of plane_gains: 10^(gain/10) per entry (0 where the dB
   /// plane is NaN), copied bit-for-bit from the footprints' precomputed
-  /// linear windows so grid-major mW accumulation multiplies instead of
-  /// calling pow — and matches the sector-major sweeps exactly.
+  /// linear windows, so recompute_top2 re-forms a winner's mW contribution
+  /// with a multiply instead of pow, bit-equal to what the sector-major
+  /// sweeps added.
   [[nodiscard]] const float* plane_linear(net::SectorId sector,
                                           int tilt) const {
     const int p = tilt - tilt_lo_;
@@ -183,9 +185,6 @@ class CoverageIndex {
   /// the uint32 arrays may be reinterpreted as int32 lanes.
   [[nodiscard]] const std::uint32_t* row_starts() const {
     return row_start_.data();
-  }
-  [[nodiscard]] const std::int32_t* entry_sectors() const {
-    return entry_sector_.data();
   }
   [[nodiscard]] const std::int32_t* ranked_sectors() const {
     return ranked_sector_.data();

@@ -53,16 +53,11 @@ EvalContext::EvalContext(const MarketContext* market) : market_(market) {
   rebuild();
 }
 
-void EvalContext::set_use_coverage_index(bool enabled) {
-  if (!enabled) {
-    index_ = nullptr;
-    off_index_sectors_.clear();
-    return;
-  }
+void EvalContext::bind_coverage_index() {
   index_ = market_->coverage_index();
   if (index_ == nullptr) {
     throw std::logic_error(
-        "EvalContext::set_use_coverage_index: build the market's coverage "
+        "EvalContext::bind_coverage_index: build the market's coverage "
         "index first (MarketContext::ensure_coverage_index)");
   }
   sync_index_bookkeeping();
@@ -135,159 +130,17 @@ void EvalContext::rebuild() {
   }
   // Re-fetch the market's index: a configuration reset is the safe point
   // to pick up an index the market rebuilt since this context bound it.
+  // The mirrors sync_index_bookkeeping refreshes feed the incremental
+  // paths, not this sector-major sweep.
   if (index_ != nullptr) index_ = market_->coverage_index();
   sync_index_bookkeeping();
-  if (index_ != nullptr && off_index_sectors_.empty()) {
-    static obs::Counter& sweeps =
-        obs::MetricsRegistry::global().counter("model.rebuild.index_sweeps");
-    sweeps.add(1);
-    rebuild_index_sweep();
-  } else {
-    if (index_ != nullptr) {
-      // Index bound but an active sector sits at an unindexed tilt:
-      // sector-major fallback. Tracked so perf work can spot a market
-      // whose searches keep leaving the indexed tilt planes.
-      static obs::Counter& legacy =
-          obs::MetricsRegistry::global().counter("model.rebuild.legacy");
-      legacy.add(1);
-    }
-    for (const auto& sector : network().sectors()) {
-      const auto& setting = config_[sector.id];
-      if (setting.active) {
-        add_contribution(sector.id, footprint_of(sector.id),
-                         setting.power_dbm);
-      }
+  for (const auto& sector : network().sectors()) {
+    const auto& setting = config_[sector.id];
+    if (setting.active) {
+      add_contribution(sector.id, footprint_of(sector.id), setting.power_dbm);
     }
   }
   invalidate_loads();
-}
-
-void EvalContext::rebuild_index_sweep() {
-  // Grid-major CSR sweep, vectorized across cells: lane j accumulates cell
-  // g+j's total and top-2 from its contiguous cover span via masked
-  // gathers. Entries come out in ascending sector-id order — the same
-  // per-cell visit order as the sector-major add_contribution loop — and
-  // each lane runs exactly the scalar per-cell operation sequence, so both
-  // the float top-2 stream and the double total_mw accumulation are
-  // bit-identical to the legacy path at every lane width (DESIGN.md §15).
-  // rebuild() ran sync_index_bookkeeping just before dispatching here, so
-  // the per-sector mirrors (power, 10^(P/10), slab offsets) are current.
-  namespace vx = util::simd;
-  constexpr std::int32_t K = vx::kWidth;
-  const auto* row_start =
-      reinterpret_cast<const std::int32_t*>(index_->row_starts());
-  const std::int32_t* entry_sector = index_->entry_sectors();
-  const float* slab_gain = index_->slab_gains();
-  const float* slab_lin = index_->slab_linear();
-  const std::int32_t* poff = active_plane_off_.data();
-  const double* power = sector_power_.data();
-  const double* plin = sector_plin_.data();
-  const float qnan = std::numeric_limits<float>::quiet_NaN();
-  const std::int32_t cells = cell_count();
-  const sweeps::StateView v = sweeps::view_of(state_);
-  geo::GridIndex g = 0;
-  for (; g + K <= cells; g += K) {
-    const vx::vint vfirst = vx::loadu_i(row_start + g);
-    const vx::vint vnext = vx::loadu_i(row_start + g + 1);
-    const vx::vint vsize = vx::sub_i(vnext, vfirst);
-    std::int32_t max_size = 0;
-    for (std::int32_t j = 0; j < K; ++j) {
-      max_size = std::max(max_size, vx::extract_i(vsize, j));
-    }
-    vx::vdouble total = vx::set1_d(0.0);
-    vx::vint bid = vx::set1_i(net::kInvalidSector);
-    vx::vfloat brp = vx::set1_f(kNoSignalDbm);
-    vx::vdouble bmw = vx::set1_d(0.0);
-    vx::vint sid = vx::set1_i(net::kInvalidSector);
-    vx::vfloat srp = vx::set1_f(kNoSignalDbm);
-    for (std::int32_t k = 0; k < max_size; ++k) {
-      const vx::fmask in_row = vx::cmp_gt_i(vsize, vx::set1_i(k));
-      const vx::vint e = vx::add_i(vfirst, vx::set1_i(k));
-      const vx::vint s = vx::gather_i(entry_sector, e, in_row, 0);
-      const vx::vint off = vx::gather_i(poff, s, in_row, -1);
-      // "has" folds row membership, sector activity and tilt-plane
-      // presence into one mask (the scalar gains == nullptr branch); NaN
-      // gains (covered at another indexed tilt only) fall out
-      // arithmetically below, like the scalar isnan continue.
-      const vx::fmask has =
-          vx::m_and(in_row, vx::cmp_gt_i(off, vx::set1_i(-1)));
-      const vx::vint sl = vx::add_i(off, e);
-      const vx::vfloat gain = vx::gather_f(slab_gain, sl, has, qnan);
-      const vx::vdouble pw = vx::gather_d(power, s, vx::widen(has), 0.0);
-      const vx::vfloat rp =
-          vx::to_float(vx::add_d(pw, vx::to_double(gain)));
-      // Skipped lanes contribute exactly +0.0 mW (linear gathers fill 0,
-      // and the slab stores 0 where the dB plane is NaN) and a NaN rp
-      // loses every ordered compare, so the accumulation and the top-2
-      // blends run maskless.
-      const vx::vdouble mw =
-          vx::mul_d(vx::gather_d(plin, s, vx::widen(has), 0.0),
-                    vx::to_double(vx::gather_f(slab_lin, sl, has, 0.0f)));
-      total = vx::add_d(total, mw);
-      const vx::fmask bb =
-          vx::m_or(vx::cmp_gt_f(rp, brp),
-                   vx::m_and(vx::cmp_eq_f(rp, brp), vx::cmp_gt_i(bid, s)));
-      const vx::fmask bs = vx::m_and(
-          vx::m_not(bb),
-          vx::m_or(vx::cmp_gt_f(rp, srp),
-                   vx::m_and(vx::cmp_eq_f(rp, srp), vx::cmp_gt_i(sid, s))));
-      sid = vx::blend_i(bb, bid, vx::blend_i(bs, s, sid));
-      srp = vx::blend_f(bb, brp, vx::blend_f(bs, rp, srp));
-      bid = vx::blend_i(bb, s, bid);
-      brp = vx::blend_f(bb, rp, brp);
-      bmw = vx::blend_d(vx::widen(bb), mw, bmw);
-    }
-    const auto i = static_cast<std::size_t>(g);
-    vx::storeu_d(v.total_mw + i, total);
-    vx::storeu_i(v.best + i, bid);
-    vx::storeu_f(v.best_rp_dbm + i, brp);
-    vx::storeu_d(v.best_mw + i, bmw);
-    vx::storeu_i(v.second + i, sid);
-    vx::storeu_f(v.second_rp_dbm + i, srp);
-  }
-  // Scalar tail: the legacy per-cell loop over the remaining < K cells.
-  const float* const* plane = active_plane_.data();
-  const float* const* plane_mw = active_plane_mw_.data();
-  for (; g < cells; ++g) {
-    const CoverageIndex::Row row = index_->row(g);
-    double total = 0.0;
-    net::SectorId best = net::kInvalidSector;
-    float best_rp = kNoSignalDbm;
-    double best_mw = 0.0;
-    net::SectorId second = net::kInvalidSector;
-    float second_rp = kNoSignalDbm;
-    for (std::uint32_t k = 0; k < row.size; ++k) {
-      const net::SectorId s = row.sectors[k];
-      const float* gains = plane[static_cast<std::size_t>(s)];
-      if (gains == nullptr) continue;  // inactive
-      const float gain = gains[row.first + k];
-      if (std::isnan(gain)) continue;  // uncovered at the current tilt
-      const auto rp =
-          static_cast<float>(power[static_cast<std::size_t>(s)] + gain);
-      const double mw = plin[static_cast<std::size_t>(s)] *
-                        static_cast<double>(
-                            plane_mw[static_cast<std::size_t>(s)]
-                                    [row.first + k]);
-      total += mw;
-      if (beats(rp, s, best_rp, best)) {
-        second = best;
-        second_rp = best_rp;
-        best = s;
-        best_rp = rp;
-        best_mw = mw;
-      } else if (beats(rp, s, second_rp, second)) {
-        second = s;
-        second_rp = rp;
-      }
-    }
-    const auto i = static_cast<std::size_t>(g);
-    state_.total_mw[i] = total;
-    state_.best[i] = best;
-    state_.best_rp_dbm[i] = best_rp;
-    state_.best_mw[i] = best_mw;
-    state_.second[i] = second;
-    state_.second_rp_dbm[i] = second_rp;
-  }
 }
 
 void EvalContext::offer_candidate(geo::GridIndex g, net::SectorId sector,
@@ -311,8 +164,9 @@ void EvalContext::add_contribution(
     double power_dbm) {
   // One hoisted dBm->mW conversion per sweep: cell contribution in mW is
   // 10^(P/10) * 10^(gain/10), with the second factor precomputed in the
-  // footprint's linear window. remove_contribution and the index sweep
-  // form the identical product, so contributions cancel exactly. The
+  // footprint's linear window. remove_contribution, set_power and
+  // recompute_top2 form the identical product, so contributions cancel
+  // exactly. The
   // per-cell work runs in the SIMD row sweep — bit-identical to the old
   // for_each_covered_linear loop (see simd_sweeps.h).
   const double p_lin = util::dbm_to_mw(power_dbm);
@@ -375,10 +229,10 @@ void EvalContext::remove_contribution(
 void EvalContext::recompute_top2(geo::GridIndex g) {
   // Top-2 selection under beats() is a strict total order, so the result
   // is independent of enumeration order: the CSR span scan, its off-index
-  // fallback pass, and the legacy all-sectors probe all produce the same
+  // fallback pass, and the unbound all-sectors probe all produce the same
   // (best, second) bit-for-bit.
   // kFootprintCol marks a winner offered from a footprint probe (fallback
-  // or legacy path) rather than an index entry; the mW factor then comes
+  // or unbound path) rather than an index entry; the mW factor then comes
   // from the footprint's linear window instead of the plane array.
   constexpr std::uint32_t kFootprintCol =
       std::numeric_limits<std::uint32_t>::max();

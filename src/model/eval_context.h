@@ -128,15 +128,16 @@ class EvalContext {
 
   // ---- Coverage-index fast path ----
 
-  /// Binds (or unbinds) the market's grid-major coverage index. When
-  /// bound, recompute_top2 scans the cell's CSR cover span instead of
-  /// probing every sector, and full rebuilds run as one grid-major sweep;
-  /// results are bit-identical either way. The market's index must be
-  /// built first (MarketContext::ensure_coverage_index); sectors sitting
-  /// at tilts outside the indexed planes fall back to direct footprint
-  /// probes automatically. Clones inherit the binding.
-  void set_use_coverage_index(bool enabled);
-  [[nodiscard]] bool use_coverage_index() const {
+  /// Binds the market's grid-major coverage index, which must be built
+  /// first (MarketContext::ensure_coverage_index). A context starts
+  /// unbound and stays bound once bound; clones inherit the binding. When
+  /// bound, recompute_top2 scans the cell's ranked cover span instead of
+  /// probing every active sector, and sectors at tilts outside the indexed
+  /// planes fall back to direct footprint probes. Results are bit-identical
+  /// bound or unbound; full rebuilds run the same sector-major sweep
+  /// either way.
+  void bind_coverage_index();
+  [[nodiscard]] bool coverage_index_bound() const {
     return index_ != nullptr;
   }
 
@@ -163,12 +164,9 @@ class EvalContext {
 
  private:
   void rebuild();
-  /// Grid-major CSR rebuild (requires every active sector on-index).
-  void rebuild_index_sweep();
   /// Re-collects the active sectors whose tilt has no index plane
-  /// (off_index_sectors_); they force recompute_top2 onto the
-  /// footprint-probe fallback and full rebuilds onto the legacy
-  /// sector-major path.
+  /// (off_index_sectors_), which force recompute_top2 onto the
+  /// footprint-probe fallback, and refreshes the per-sector mirrors below.
   void sync_index_bookkeeping();
   /// Approximate post-change actual rate of grid g when sector `changed`
   /// would be received at `changed_rp` and the cell's total received power
@@ -207,8 +205,8 @@ class EvalContext {
   /// Footprint in effect per sector (at its current tilt); points into the
   /// provider's caches, which stay valid for the provider's lifetime.
   std::vector<const pathloss::SectorFootprint*> current_footprint_;
-  /// The market's shared coverage index, or nullptr when the legacy scan
-  /// paths are in effect (see set_use_coverage_index).
+  /// The market's shared coverage index, or nullptr until
+  /// bind_coverage_index (the unbound all-sectors scan is in effect).
   const CoverageIndex* index_ = nullptr;
   /// Ids of the active sectors whose current tilt has no index plane, in
   /// ascending order (empty on the pure fast path; maintained by

@@ -162,7 +162,7 @@ TEST(PlannerLazyBinding, ConstructionBuildsNothing) {
   LineMarket market;
   const std::uint64_t before = index_builds();
   const MagusPlanner planner{&market.evaluator, LineMarket::options()};
-  EXPECT_FALSE(market.model.use_coverage_index());
+  EXPECT_FALSE(market.model.coverage_index_bound());
   EXPECT_EQ(market.model.market_context().coverage_index(), nullptr);
   EXPECT_EQ(index_builds(), before);
 }
@@ -186,7 +186,7 @@ TEST(PlannerLazyBinding, EveryEntryPointBindsOnFirstUse) {
     const MagusPlanner planner{&market.evaluator, LineMarket::options()};
     const std::uint64_t before = index_builds();
     call(planner);
-    EXPECT_TRUE(market.model.use_coverage_index()) << name;
+    EXPECT_TRUE(market.model.coverage_index_bound()) << name;
     EXPECT_EQ(index_builds(), before + 1) << name;
     call(planner);  // bound once: later calls build nothing
     EXPECT_EQ(index_builds(), before + 1) << name;

@@ -67,7 +67,7 @@ TEST(CoverageIndexParallel, ConcurrentContextsMatchSerialReference) {
   reference.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     EvalContext serial{&model.market_context()};
-    serial.set_use_coverage_index(true);
+    serial.bind_coverage_index();
     replay(serial, world, t % 3);
     reference.push_back(serial.state());
   }
@@ -78,7 +78,7 @@ TEST(CoverageIndexParallel, ConcurrentContextsMatchSerialReference) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       EvalContext ctx{&model.market_context()};
-      ctx.set_use_coverage_index(true);
+      ctx.bind_coverage_index();
       replay(ctx, world, t % 3);
       concurrent[static_cast<std::size_t>(t)] = ctx.state();
     });

@@ -154,30 +154,38 @@ TEST(CoverageIndex, RankedRowsArePermutationsInDescendingBoundOrder) {
   }
 }
 
-void run_randomized_index_vs_legacy(int tilt_radius) {
+/// Drives a bound and an unbound context over `model`'s market through a
+/// seeded mix of power, tilt, activity and set_configuration steps on
+/// `sectors`, comparing the two states bitwise after every step. Both
+/// contexts run the same sector-major full rebuild, so the comparison
+/// covers the bound incremental paths (span scan, off-index fallback)
+/// against the unbound all-sectors scan. Each set_configuration step jumps
+/// both to a configuration visited earlier in the sequence, so the bound
+/// context's off-index list and mirrors must be rebuilt, not carried over.
+/// The market's index must already be built.
+void run_randomized_index_vs_legacy(AnalysisModel& model,
+                                    const std::vector<net::SectorId>& sectors,
+                                    const std::string& world) {
   for (const std::uint64_t seed : {11ull, 123ull, 777ull}) {
-    LineWorld world{12, 8.0};
-    AnalysisModel model{&world.network, world.provider.get()};
-    model.market_context().build_coverage_index(
-        CoverageIndexOptions{.tilt_radius = tilt_radius});
-
     EvalContext indexed{&model.market_context()};
-    indexed.set_use_coverage_index(true);
+    indexed.bind_coverage_index();
     EvalContext legacy{&model.market_context()};
-    ASSERT_TRUE(indexed.use_coverage_index());
-    ASSERT_FALSE(legacy.use_coverage_index());
+    ASSERT_TRUE(indexed.coverage_index_bound());
+    ASSERT_FALSE(legacy.coverage_index_bound());
 
     std::mt19937_64 rng{seed};
     std::uniform_int_distribution<int> op_dist{0, 3};
-    std::uniform_int_distribution<int> sector_dist{0, 1};
+    std::uniform_int_distribution<int> sector_dist{
+        0, static_cast<int>(sectors.size()) - 1};
     std::uniform_real_distribution<double> power_dist{18.0, 48.0};
     std::uniform_int_distribution<int> tilt_dist{-2, 2};
 
-    const std::string tag =
-        "radius " + std::to_string(tilt_radius) + " seed " +
-        std::to_string(seed);
+    const std::string tag = world + " seed " + std::to_string(seed);
+    std::vector<net::Configuration> visited;
     for (int step = 0; step < 80; ++step) {
-      const auto sector = static_cast<net::SectorId>(sector_dist(rng));
+      visited.push_back(indexed.configuration());
+      const net::SectorId sector =
+          sectors[static_cast<std::size_t>(sector_dist(rng))];
       switch (op_dist(rng)) {
         case 0: {
           const double p = power_dist(rng);
@@ -198,11 +206,11 @@ void run_randomized_index_vs_legacy(int tilt_radius) {
           break;
         }
         default: {
-          // Full reset exercises the grid-major rebuild sweep against the
-          // sector-major one at a randomized mid-sequence configuration.
-          const net::Configuration snapshot = indexed.configuration();
-          indexed.set_configuration(snapshot);
-          legacy.set_configuration(snapshot);
+          std::uniform_int_distribution<std::size_t> pick{
+              0, visited.size() - 1};
+          const net::Configuration earlier = visited[pick(rng)];
+          indexed.set_configuration(earlier);
+          legacy.set_configuration(earlier);
           break;
         }
       }
@@ -212,16 +220,47 @@ void run_randomized_index_vs_legacy(int tilt_radius) {
   }
 }
 
+/// The two-sector LineWorld strip with its index built at `tilt_radius`.
+void run_randomized_line_world(int tilt_radius) {
+  LineWorld world{12, 8.0};
+  AnalysisModel model{&world.network, world.provider.get()};
+  model.market_context().build_coverage_index(
+      CoverageIndexOptions{.tilt_radius = tilt_radius});
+  run_randomized_index_vs_legacy(model, {world.west, world.east},
+                                 "line world radius " +
+                                     std::to_string(tilt_radius));
+}
+
 TEST(CoverageIndex, RandomizedMutationsMatchLegacyBitForBit) {
   // Radius 1: tilt swaps stay on indexed planes (pure span-scan paths).
-  run_randomized_index_vs_legacy(1);
+  run_randomized_line_world(1);
 }
 
 TEST(CoverageIndex, OffIndexTiltsFallBackToFootprintsBitForBit) {
   // Radius 0: only the default tilt is indexed, so every tilt mutation
   // pushes a sector off-index and recompute must merge the span scan with
   // direct footprint probes.
-  run_randomized_index_vs_legacy(0);
+  run_randomized_line_world(0);
+}
+
+TEST(CoverageIndex, GeneratedMarketMixedMutationsMatchLegacy) {
+  // The same randomized script on a generated market, over the six
+  // sectors nearest the study centre: overlapping footprints, co-sited
+  // sectors and cells at the grid edge that the strip never produces.
+  // Radius 1 keeps most tilt moves on indexed planes; radius 0 sends
+  // every one of them through the footprint fallback.
+  data::Experiment experiment{magus::testing::small_market_params()};
+  AnalysisModel& model = experiment.model();
+  const auto sectors = experiment.network().nearest_sectors(
+      experiment.study_area().center(), 6);
+  ASSERT_EQ(sectors.size(), 6u);
+  for (const int tilt_radius : {1, 0}) {
+    model.market_context().build_coverage_index(
+        CoverageIndexOptions{.tilt_radius = tilt_radius});
+    run_randomized_index_vs_legacy(
+        model, sectors,
+        "generated market radius " + std::to_string(tilt_radius));
+  }
 }
 
 /// Two sectors on a 6-cell strip with a dead cell in the middle and
@@ -275,7 +314,7 @@ TEST(CoverageIndex, EmptyCoverageAndEdgeOfGridCells) {
   EXPECT_EQ(index.row(5).sectors[0], world.east);
 
   EvalContext indexed{&model.market_context()};
-  indexed.set_use_coverage_index(true);
+  indexed.bind_coverage_index();
   EvalContext legacy{&model.market_context()};
 
   EXPECT_EQ(indexed.serving_sector(2), net::kInvalidSector);
@@ -310,7 +349,7 @@ TEST(CoverageIndex, OffIndexSectorListTracksActivityTiltAndRestore) {
   const CoverageIndex& index = *model.market_context().coverage_index();
 
   EvalContext indexed{&model.market_context()};
-  indexed.set_use_coverage_index(true);
+  indexed.bind_coverage_index();
   EvalContext legacy{&model.market_context()};
   obs::Counter& fallbacks = obs::MetricsRegistry::global().counter(
       "model.kernel.offindex_recomputes");
@@ -399,7 +438,7 @@ TEST(CoverageIndex, GeneratedMarketDemotionsMatchLegacy) {
   EXPECT_GT(model.market_context().index_bytes(), 0u);
 
   EvalContext indexed{&model.market_context()};
-  indexed.set_use_coverage_index(true);
+  indexed.bind_coverage_index();
   EvalContext legacy{&model.market_context()};
 
   const auto targets = experiment.network().nearest_sectors(
