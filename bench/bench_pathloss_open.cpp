@@ -2,13 +2,13 @@
 // acquisition time, and what footprint-granular residency buys a
 // budget-capped fleet.
 //
-// Part 1 — one market's database, three cold-open paths:
-//   v2 eager:   PathLossDatabase::load of the v2 stream format — every
-//               gain byte read, checksummed and twinned up front,
-//   v3 eager:   the same eager load over the v3 page-aligned file,
-//   v3 mapped:  MappedPathLossDatabase — header + directory only; gain
-//               planes stay on disk until first touch.
-// The headline is speedup_cold_open = v2-eager / v3-mapped-open (gated
+// Part 1 — one market's v3 database, two cold-open paths:
+//   eager load:  PathLossDatabase::load — a mapped open, then every entry
+//                touched (checksummed, linear twin computed) and copied
+//                into owned footprints,
+//   mapped open: MappedPathLossDatabase — header + directory only; gain
+//                planes stay on disk until first touch.
+// The headline is speedup_cold_open = eager load / mapped open (gated
 // >= 5x). First-touch materialization of *every* entry is timed
 // separately — that is the amortized cost ceiling a lazy open defers,
 // and in a fleet sweep most of it is never paid. Bitwise identity of the
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   using namespace magus;
 
   util::ArgParser args{
-      "Cold-open streaming: v2 eager load vs v3 mapped open, plus a "
+      "Cold-open streaming: eager load vs mapped open, plus a "
       "byte-budget sweep through the fleet store"};
   bench::add_scale_flags(args);
   args.add_flag("tilts", "5",
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   const std::size_t threads = util::threads_from(args);
   const int reps = std::max(1, static_cast<int>(args.get_int("reps")));
 
-  // ---- Part 1: one market, three cold-open paths ----
+  // ---- Part 1: one market, two cold-open paths ----
   data::Experiment experiment{
       bench::market_params(data::Morphology::kSuburban, 0, scale, seed)};
   const pathloss::FootprintBuilder builder{
@@ -132,31 +132,23 @@ int main(int argc, char** argv) {
   pathloss::PathLossDatabase db =
       parallel_builder.build_database(experiment.network(), sectors, tilts);
 
-  const std::string v2_path = "bench_open_v2.bin";
   const std::string v3_path = "bench_open_v3.bin";
-  db.save(v2_path, threads);
-  db.save_v3(v3_path, threads);
-  const std::size_t v2_bytes = file_size(v2_path);
+  db.save(v3_path, threads);
   const std::size_t v3_bytes = file_size(v3_path);
 
   std::cout << "Cold open: " << sectors.size() << " sectors x "
-            << tilts.size() << " tilts = " << matrices << " matrices, v2 "
-            << v2_bytes / 1024 << " KiB, v3 " << v3_bytes / 1024
-            << " KiB, threads=" << threads << ", reps=" << reps << "\n\n";
+            << tilts.size() << " tilts = " << matrices << " matrices, v3 "
+            << v3_bytes / 1024 << " KiB, threads=" << threads
+            << ", reps=" << reps << "\n\n";
 
   const auto mean_of = [&](auto&& body) {
     const auto start = Clock::now();
     for (int r = 0; r < reps; ++r) body();
     return seconds_since(start) / reps;
   };
-  const double wall_load_v2 = mean_of([&] {
+  const double wall_load = mean_of([&] {
     const pathloss::PathLossDatabase loaded =
-        pathloss::PathLossDatabase::load(v2_path, threads);
-    if (loaded.entry_count() != matrices) std::abort();
-  });
-  const double wall_load_v3_eager = mean_of([&] {
-    const pathloss::PathLossDatabase loaded =
-        pathloss::PathLossDatabase::load(v3_path, threads);
+        pathloss::PathLossDatabase::load(v3_path);
     if (loaded.entry_count() != matrices) std::abort();
   });
   const double wall_open_mapped = mean_of([&] {
@@ -178,7 +170,7 @@ int main(int argc, char** argv) {
   const std::size_t heap_bytes_full = mapped.resident_bytes();
   const std::size_t mapped_bytes = mapped.mapped_bytes();
 
-  pathloss::PathLossDatabase eager = pathloss::PathLossDatabase::load(v2_path);
+  pathloss::PathLossDatabase eager = pathloss::PathLossDatabase::load(v3_path);
   const bool mapped_equals_eager =
       windows_identical(mapped, eager, sectors, tilts);
   const std::size_t released = mapped.release_residency();
@@ -186,22 +178,19 @@ int main(int argc, char** argv) {
       released > 0 && mapped.resident_bytes() == 0 &&
       windows_identical(mapped, eager, sectors, tilts);
 
-  const double speedup_cold_open = wall_load_v2 / wall_open_mapped;
+  const double speedup_cold_open = wall_load / wall_open_mapped;
   const bool cold_open_ge_5x = speedup_cold_open >= 5.0;
 
-  util::TablePrinter open_table({"path", "wall (s)", "speedup vs v2"});
-  open_table.add_row({"v2 eager load", util::TablePrinter::num(wall_load_v2, 5),
-                      "1.00"});
+  util::TablePrinter open_table({"path", "wall (s)", "speedup vs load"});
   open_table.add_row(
-      {"v3 eager load", util::TablePrinter::num(wall_load_v3_eager, 5),
-       util::TablePrinter::num(wall_load_v2 / wall_load_v3_eager, 2)});
+      {"eager load", util::TablePrinter::num(wall_load, 5), "1.00"});
   open_table.add_row(
-      {"v3 mapped open", util::TablePrinter::num(wall_open_mapped, 6),
+      {"mapped open", util::TablePrinter::num(wall_open_mapped, 6),
        util::TablePrinter::num(speedup_cold_open, 2)});
   open_table.add_row(
       {"  + touch all", util::TablePrinter::num(wall_first_touch, 5),
        util::TablePrinter::num(
-           wall_load_v2 / (wall_open_mapped + wall_first_touch), 2)});
+           wall_load / (wall_open_mapped + wall_first_touch), 2)});
   open_table.print(std::cout);
   std::cout << "\nresidency at full touch: " << heap_bytes_full / 1024
             << " KiB heap (linear twins) + " << mapped_bytes / 1024
@@ -215,7 +204,6 @@ int main(int argc, char** argv) {
                    speedup_cold_open, 1)
             << "x (gate >= 5x): " << (cold_open_ge_5x ? "PASS" : "FAIL")
             << "\n\n";
-  std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
 
   // ---- Part 2: fleet budget sweep ----
@@ -325,10 +313,8 @@ int main(int argc, char** argv) {
     summary.set("sectors", static_cast<std::int64_t>(sectors.size()));
     summary.set("tilts", static_cast<std::int64_t>(tilts.size()));
     summary.set("matrices", static_cast<std::int64_t>(matrices));
-    summary.set("file_bytes_v2", static_cast<std::int64_t>(v2_bytes));
     summary.set("file_bytes_v3", static_cast<std::int64_t>(v3_bytes));
-    summary.set("wall_s_load_v2", wall_load_v2);
-    summary.set("wall_s_load_v3_eager", wall_load_v3_eager);
+    summary.set("wall_s_load", wall_load);
     summary.set("wall_s_open_mapped", wall_open_mapped);
     summary.set("wall_s_first_touch_all", wall_first_touch);
     summary.set("speedup_cold_open", speedup_cold_open);

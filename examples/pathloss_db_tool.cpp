@@ -4,34 +4,34 @@
 // mirrors that workflow on the synthetic substrate:
 //
 //   generate:   build the matrices for a market (all sectors, chosen tilt
-//               range) and save them in the versioned binary format
-//               (--v3 writes the page-aligned mmap format directly),
+//               range) and save them in the v3 page-aligned format,
 //   info:       print a database file's inventory from its header +
 //               directory alone — no gain bytes are read,
-//   migrate-v3: rewrite a v2 stream file as a v3 page-aligned file (the
-//               zero-copy format MappedPathLossDatabase opens in O(dir)),
-//   verify:     reload a database and check it against a freshly built
-//               one; v3 files verify through the mmap provider, so every
-//               checked matrix also passes its first-touch checksum.
+//   migrate-v3: rewrite a file in the retired v2 stream format as v3 (the
+//               zero-copy format MappedPathLossDatabase opens in O(dir));
+//               a file that is already v3 is left alone,
+//   verify:     open a database through the mmap provider and check it
+//               against a freshly built one; every checked matrix also
+//               passes its first-touch checksum.
 //
-// generate fans the per-sector builds across --threads workers and
-// save/load run the chunked parallel (de)serialization; the resulting
-// file is byte-identical for any thread count.
+// generate fans the per-sector builds and the save's checksums across
+// --threads workers; the resulting file is byte-identical for any thread
+// count.
 //
-//   $ pathloss_db_tool --mode generate --db market.mpl [--tilts 2] [--v3]
+//   $ pathloss_db_tool --mode generate --db market.mpl [--tilts 2]
 //   $ pathloss_db_tool --mode info --db market.mpl
 //   $ pathloss_db_tool --mode migrate-v3 --db market.mpl [--out market3.mpl]
 //   $ pathloss_db_tool --mode verify --db market.mpl
 #include <cmath>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "data/experiment.h"
 #include "obs/session.h"
 #include "pathloss/database.h"
 #include "pathloss/mapped_database.h"
+#include "pathloss/v2_reader.h"
 #include "util/args.h"
 #include "util/table.h"
 
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   args.add_flag("mode", "generate", "generate | info | migrate-v3 | verify");
   args.add_flag("db", "market.mpl", "database path");
   args.add_flag("out", "", "migrate-v3 output path (default: --db in place)");
-  args.add_flag("v3", "false", "generate the v3 page-aligned format");
   args.add_flag("seed", "17", "market generation seed");
   args.add_flag("region-km", "9", "analysis region edge in km");
   args.add_flag("tilts", "1", "tilt settings on each side of 0");
@@ -101,14 +100,9 @@ int main(int argc, char** argv) {
                 << experiment.network().sector_count() << " sectors x "
                 << (2 * tilts + 1) << " tilts...\n";
       const auto db = build_database(experiment, tilts, threads);
-      const bool v3 = args.get_bool("v3");
-      if (v3) {
-        db.save_v3(path, threads);
-      } else {
-        db.save(path, threads);
-      }
+      db.save(path, threads);
       std::cout << "Saved " << db.entry_count() << " matrices to " << path
-                << (v3 ? " (v3 page-aligned)" : " (v2 stream)") << '\n';
+                << " (v3 page-aligned)\n";
       return 0;
     }
 
@@ -123,77 +117,44 @@ int main(int argc, char** argv) {
       }
       std::cout << "Database " << path << ":\n"
                 << "  format: v" << probe.version
-                << (probe.version == pathloss::format::kVersionMapped
-                        ? " (page-aligned, mmap-openable)"
-                        : " (stream)")
-                << ", " << probe.file_bytes / 1024 << " KiB on disk\n"
+                << " (page-aligned, mmap-openable), "
+                << probe.file_bytes / 1024 << " KiB on disk\n"
                 << "  grid: " << probe.cols << " x " << probe.rows
                 << " cells of " << probe.cell_size_m << " m\n"
                 << "  matrices: " << probe.entry_count << '\n'
                 << "  eager resident estimate: "
-                << probe.resident_bytes_estimate / 1024 << " KiB";
-      if (probe.version == pathloss::format::kVersionMapped) {
-        std::cout << " (mapped open: " << probe.mapped_bytes_estimate / 1024
-                  << " KiB file-backed + " << probe.heap_bytes_estimate / 1024
-                  << " KiB heap at full touch)";
-      }
-      std::cout << '\n';
+                << probe.resident_bytes_estimate / 1024
+                << " KiB (mapped open: " << probe.mapped_bytes_estimate / 1024
+                << " KiB file-backed + " << probe.heap_bytes_estimate / 1024
+                << " KiB heap at full touch)\n";
       return 0;
     }
 
     if (mode == "migrate-v3") {
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (!probe.ok) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 2;
-      }
-      if (probe.version == pathloss::format::kVersionMapped) {
+      if (pathloss::PathLossDatabase::probe(path).ok) {
         std::cout << path << " is already v3; nothing to do\n";
         return 0;
       }
-      const auto db = pathloss::PathLossDatabase::load(path, threads);
+      const auto db = pathloss::read_v2(path);
       std::string out = args.get_string("out");
       if (out.empty()) out = path;
-      db.save_v3(out, threads);
+      db.save(out, threads);
       std::cout << "Migrated " << db.entry_count() << " matrices: " << path
-                << " (v" << probe.version << ", " << probe.file_bytes / 1024
-                << " KiB) -> " << out << " (v3, "
+                << " (v2) -> " << out << " (v3, "
                 << std::filesystem::file_size(out) / 1024 << " KiB)\n";
       return 0;
     }
 
     if (mode == "verify") {
-      // v3 files verify through the mmap provider: each checked matrix is
-      // materialized lazily, so it also passes its first-touch checksum.
-      // v2 files verify through the eager loader as before.
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (!probe.ok) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 2;
-      }
-      std::unique_ptr<pathloss::PathLossDatabase> eager;
-      std::unique_ptr<pathloss::MappedPathLossDatabase> mapped;
-      if (probe.version == pathloss::format::kVersionMapped) {
-        mapped = std::make_unique<pathloss::MappedPathLossDatabase>(path);
-      } else {
-        eager = std::make_unique<pathloss::PathLossDatabase>(
-            pathloss::PathLossDatabase::load(path, threads));
-      }
-      const auto contains = [&](net::SectorId sector) {
-        return mapped ? mapped->contains(sector, 0)
-                      : eager->contains(sector, 0);
-      };
-      pathloss::PathLossProvider& provider =
-          mapped ? static_cast<pathloss::PathLossProvider&>(*mapped)
-                 : static_cast<pathloss::PathLossProvider&>(*eager);
+      // The mmap provider materializes each checked matrix lazily, so it
+      // also passes its first-touch checksum.
+      pathloss::MappedPathLossDatabase db{path};
       data::Experiment experiment{tool_params(args)};
       long checked = 0;
       long mismatches = 0;
       for (const auto& sector : experiment.network().sectors()) {
-        if (!contains(sector.id)) continue;
-        const auto& stored = provider.footprint(sector.id, 0);
+        if (!db.contains(sector.id, 0)) continue;
+        const auto& stored = db.footprint(sector.id, 0);
         const auto& fresh = experiment.provider().footprint(sector.id, 0);
         if (stored.covered_count() != fresh.covered_count()) {
           ++mismatches;

@@ -61,7 +61,7 @@ echo "== path-loss build pipeline (legacy vs batched, 8 threads) =="
 "$BUILD_DIR/bench/bench_pathloss_build" --threads 8 \
   --json "$out_dir/BENCH_pathloss.json"
 
-echo "== cold-open streaming (v2 eager vs v3 mmap, budget sweep) =="
+echo "== cold-open streaming (eager load vs mapped open, budget sweep) =="
 streaming_db="$scratch/streaming_db"
 "$BUILD_DIR/bench/bench_pathloss_open" --threads 8 --db-dir "$streaming_db" \
   --json "$out_dir/BENCH_streaming.json"
@@ -100,10 +100,10 @@ print(f"path-loss build speedup (parallel vs legacy): "
       f"{p['speedup_parallel_vs_legacy']:.2f}x "
       f"(identical: {p['entries_identical'] and p['files_identical']})")
 s = json.load(open('BENCH_streaming.json'))
-print(f"cold open speedup (v3 mmap vs v2 eager): "
+print(f"cold open speedup (mapped open vs eager load): "
       f"{s['speedup_cold_open']:.0f}x (>=5x: {s['cold_open_speedup_ge_5x']}), "
       f"budget sweep identical: {s['plans_identical_across_budgets']}, "
-      f"under budget: {s['under_budget_all']}")
+      f"under budget: {s['under_budget']}")
 r = json.load(open('BENCH_recovery.json'))
 c = r['campaign']
 print(f"campaign crash/resume: windows {c['windows_completed']}/"
@@ -113,6 +113,7 @@ print(f"campaign crash/resume: windows {c['windows_completed']}/"
       f"resume matches baseline: {r['resume_matches_baseline']}")
 f = json.load(open('BENCH_fleet.json'))
 print(f"fleet: {f['markets']} markets / {f['sectors_total']} sectors, "
+      f"{f['db_build_seconds']:.2f} s database warm-up, "
       f"{f['markets_per_second']:.2f} markets/s, "
       f"{f['store_capped']['evictions']} evictions, "
       f"identical under eviction: {f['plans_identical_under_eviction']}, "

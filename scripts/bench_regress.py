@@ -92,7 +92,7 @@ SPECS = {
         "speedup_serial_vs_legacy": "rate",
         "speedup_parallel_vs_legacy": "rate",
         "wall_s_save_parallel": "time",
-        "wall_s_load_parallel": "time",
+        "wall_s_load": "time",
         "entries_identical": "true",
         "files_identical": "true",
         "load_round_trip_ok": "true",
@@ -118,15 +118,14 @@ SPECS = {
         "sectors": "eq",
         "tilts": "eq",
         "matrices": "eq",
-        # File sizes are deterministic for fixed geometry; v3 grows over
-        # v2 only by page alignment + the directory.
-        "file_bytes_v2": "eq",
+        # The file size is deterministic for fixed geometry.
         "file_bytes_v3": "eq",
-        "wall_s_load_v2": "time",
+        "wall_s_load": "time",
         "wall_s_open_mapped": "time",
         "wall_s_first_touch_all": "time",
         # The headline: a mapped open reads header + directory, never the
-        # planes, so it beats the eager v2 load by orders of magnitude.
+        # planes, so it beats the eager load (open + touch all + copy) by
+        # orders of magnitude.
         # The wide rate band absorbs machine noise; the hard >= 5x floor
         # is the bool below (also the bench's own exit code).
         "speedup_cold_open": "rate",
@@ -163,6 +162,9 @@ SPECS = {
         # carried plans execute byte-identically to re-planned ones.
         "plans_replanned": "eq",
         "execute_matches_replanned": "eq",
+        # Pass A's warm-up acquires (the database builds on a fresh
+        # db dir), kept out of plan_seconds_unbounded.
+        "db_build_seconds": "time",
         "plan_seconds_unbounded": "time",
         "plan_seconds_capped": "time",
         "execute_seconds_capped": "time",
@@ -301,7 +303,7 @@ def run_self_test():
             "wall_s_parallel": 0.4, "matrices_per_sec_parallel": 100.0,
             "speedup_serial_vs_legacy": 8.0,
             "speedup_parallel_vs_legacy": 10.0,
-            "wall_s_save_parallel": 0.1, "wall_s_load_parallel": 0.2,
+            "wall_s_save_parallel": 0.1, "wall_s_load": 0.2,
             "entries_identical": True, "files_identical": True,
             "load_round_trip_ok": True, "fidelity_mean_abs_db": 0.2,
             "fidelity_max_abs_db": 8.9, "coverage_disagree_frac": 0.005,

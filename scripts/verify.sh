@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: regular build + tests, a perf smoke of the coverage
 # index against the legacy scan (fails if the index is slower), the
-# profiler attribution smoke (--profile report invariants), the bench
+# path-loss database tool smoke (generate / info / verify / migrate-v3),
+# the profiler attribution smoke (--profile report invariants), the bench
 # regression gate (bench_regress.py self-test, plus a full re-run diffed
 # against the committed BENCH_*.json baselines in the non-fast pass), the
 # SIMD matrix leg (a MAGUS_SIMD=OFF build running the same suite on the
@@ -129,9 +130,10 @@ print(f"fleet smoke OK: {f['markets']} markets / {f['sectors_total']} "
 EOF
 
 echo "==> Streaming smoke: v3 mmap cold open + footprint-granular residency"
-# The zero-copy path's contract, end to end: a v3 mapped open must beat
-# the v2 eager load >= 5x cold, mapped windows must be bit-identical to
-# the eager load (including across a release/re-touch cycle), and a
+# The zero-copy path's contract, end to end: a mapped open must beat the
+# eager load (open + touch all + copy) >= 5x cold, mapped windows must be
+# bit-identical to the eager load (including across a release/re-touch
+# cycle), and a
 # budget-capped fleet sweep must keep the enforced resident peak at or
 # under the budget line while planning to the exact unbounded
 # fingerprints. The second run pins MAGUS_NO_MMAP=1 — the positioned-read
@@ -154,7 +156,7 @@ assert s["using_mmap"], "mmap leg fell back to positioned reads"
 assert not n["using_mmap"], "MAGUS_NO_MMAP=1 leg still mmap'd"
 for name, run in (("mmap", s), ("no-mmap", n)):
     assert run["cold_open_speedup_ge_5x"], (
-        f"{name}: cold open only {run['speedup_cold_open']:.1f}x vs v2 load")
+        f"{name}: cold open only {run['speedup_cold_open']:.1f}x vs eager load")
     assert run["mapped_equals_eager"], f"{name}: windows differ from eager"
     assert run["identical_after_release"], (
         f"{name}: release/re-touch changed a window")
@@ -170,6 +172,23 @@ print(f"streaming smoke OK: cold open {s['speedup_cold_open']:.0f}x "
       f"{s['enforced_peak_budgeted'] / 2**20:.1f} MiB <= budget "
       f"{s['budget_bytes'] / 2**20:.1f} MiB, fingerprints match")
 EOF
+
+echo "==> Tool smoke: pathloss_db_tool generate / info / verify / migrate-v3"
+# generate writes v3, info reads its directory, verify checks every tilt-0
+# matrix against a fresh build (same --seed / --region-km). migrate-v3
+# turns a copy of the committed v2 fixture into a file info reports as v3,
+# and a second migrate-v3 leaves it alone.
+tool=./build/examples/pathloss_db_tool
+"$tool" --mode generate --db "$artifacts/tool.pldb" --region-km 3 >/dev/null
+"$tool" --mode info --db "$artifacts/tool.pldb" >/dev/null
+"$tool" --mode verify --db "$artifacts/tool.pldb" --region-km 3 >/dev/null
+cp tests/fixtures/pathloss_v2.pldb "$artifacts/v2.pldb"
+"$tool" --mode migrate-v3 --db "$artifacts/v2.pldb" >/dev/null
+info=$("$tool" --mode info --db "$artifacts/v2.pldb")
+grep -q "format: v3" <<<"$info" || { echo "migrated file is not v3"; exit 1; }
+again=$("$tool" --mode migrate-v3 --db "$artifacts/v2.pldb")
+grep -q "already v3" <<<"$again" || { echo "second migrate-v3 rewrote"; exit 1; }
+echo "tool smoke OK: generate/info/verify exit 0, v2 fixture migrated to v3"
 
 echo "==> Profiler smoke: --profile attribution report"
 # The profile run reuses the micro-model summary workload (serial +

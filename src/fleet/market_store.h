@@ -5,11 +5,11 @@
 // at a time, and one market's resident footprint (path-loss windows +
 // linear twins + coverage index) runs to tens of megabytes. The store owns
 // the per-market path-loss database *paths* and materializes a market —
-// topology regenerated from its seed, database opened zero-copy from a v3
-// file (or loaded/migrated from v2, or built once from the full
-// propagation stack and saved as v3), analysis model bound on top — only
-// when acquired, behind an LRU cache charged against a configurable byte
-// budget.
+// topology regenerated from its seed, database opened zero-copy from its
+// v3 file (or, when that file is missing, damaged or incomplete, rebuilt
+// once from the full propagation stack, saved as v3 and opened mapped),
+// analysis model bound on top — only when acquired, behind an LRU cache
+// charged against a configurable byte budget.
 //
 // The accounting unit is the *footprint* (sector x tilt), not the market:
 // a streaming market (MappedPathLossDatabase) charges only the heap its
@@ -80,23 +80,16 @@ struct StoreOptions {
   /// only reads tilt 0 (the deployment default), which keeps fleet-scale
   /// databases small.
   std::vector<radio::TiltIndex> tilts = {0};
-  /// Open markets through the zero-copy streaming provider
-  /// (pathloss::MappedPathLossDatabase) when possible: a v3 file maps
-  /// directly; a sound v2 file is eagerly loaded once, migrated to v3 in
-  /// place (best-effort) and reopened mapped. false forces the eager
-  /// PathLossDatabase everywhere (plans are bit-identical either way —
-  /// the fleet tests assert it).
-  bool prefer_mapped = true;
   /// Model/propagation options used when a database must be rebuilt and
   /// when binding the analysis model.
   data::ExperimentOptions experiment;
 };
 
 /// One materialized market: regenerated topology, a path-loss provider
-/// (zero-copy streaming MappedPathLossDatabase when the file is v3 and
-/// StoreOptions::prefer_mapped holds, eager PathLossDatabase otherwise),
-/// and an analysis model bound over both. Non-movable: the model holds
-/// pointers into the network and provider.
+/// and an analysis model bound over both. The provider is the zero-copy
+/// streaming MappedPathLossDatabase; an eager PathLossDatabase is held only
+/// when a rebuilt database could not be saved (an unwritable db_dir).
+/// Non-movable: the model holds pointers into the network and provider.
 class MarketHandle {
  public:
   MarketHandle(const MarketSpec& spec, const StoreOptions& options,
@@ -123,13 +116,10 @@ class MarketHandle {
   /// live in the file mapping and never count.
   [[nodiscard]] std::size_t db_resident_bytes() const;
 
-  /// True when the database file was unusable (missing, corrupt, wrong
-  /// grid, or incomplete for this market's sectors/tilts) and had to be
-  /// rebuilt from the propagation stack.
+  /// True when the database file was unusable (missing, corrupt, not v3,
+  /// wrong grid, or incomplete for this market's sectors/tilts) and had to
+  /// be rebuilt from the propagation stack.
   [[nodiscard]] bool rebuilt() const { return rebuilt_; }
-  /// True when a sound v2 file was re-saved as v3 (and reopened mapped)
-  /// during materialization.
-  [[nodiscard]] bool migrated() const { return migrated_; }
   /// The load failure that forced the rebuild, empty otherwise.
   [[nodiscard]] const std::string& load_error() const { return load_error_; }
 
@@ -155,10 +145,10 @@ class MarketHandle {
   data::Market market_;
   std::string db_path_;
   bool rebuilt_ = false;
-  bool migrated_ = false;
   bool stale_ = false;  ///< released since last refresh()
   std::string load_error_;
-  /// Exactly one of these is set; provider() returns it.
+  /// Exactly one of these is set; provider() returns it. db_ only when a
+  /// rebuilt database could not be re-saved.
   std::unique_ptr<pathloss::PathLossDatabase> db_;
   std::unique_ptr<pathloss::MappedPathLossDatabase> mapped_db_;
   std::unique_ptr<model::AnalysisModel> model_;

@@ -1,5 +1,5 @@
 // Path-loss providers: the interface the analysis model consumes, plus an
-// in-memory database with a versioned binary file format (our stand-in for
+// in-memory database with a page-aligned binary file format (our stand-in for
 // the operator's Atoll feed, which is "refreshed periodically" — §4.2) and
 // two computing providers (faithful per-tilt rebuild vs the paper's
 // tilt-delta approximation).
@@ -62,51 +62,38 @@ class PathLossDatabase final : public PathLossProvider {
 
   [[nodiscard]] const geo::GridMap& grid() const override { return grid_; }
 
-  /// Binary serialization (versioned, sparse, integrity-checked). The v2
-  /// format carries a total entry count in the header and a per-entry
-  /// FNV-1a checksum over the entry's geometry and gain bytes, so a
-  /// truncated, bit-flipped or oversized file is rejected with a specific
-  /// std::runtime_error message ("truncated header", "bad magic",
-  /// "unsupported version", "oversized window", "checksum mismatch",
-  /// "entry does not fit the grid", "truncated entry", "trailing bytes")
-  /// instead of being silently mis-read into the model.
-  ///
-  /// `threads` parallelizes the per-entry work — checksum computation on
-  /// save; checksum validation plus footprint construction (the 10^(g/10)
-  /// precompute) on load — across a util::ThreadPool (0 = hardware
-  /// concurrency). The per-entry checksums make entries independently
-  /// verifiable, so validation fans out naturally. Saved bytes and loaded
-  /// databases are identical for any thread count; when several entries
-  /// are corrupted, the reported error is the lowest-index one, matching
-  /// the serial scan.
-  ///
-  /// load() accepts both the v2 stream format and the v3 page-aligned
-  /// format (see pathloss/format.h) and materializes either eagerly;
-  /// save() writes v2, save_v3() writes v3. Below kParallelLoadThreshold
-  /// entries load() runs single-threaded regardless of `threads`: at small
-  /// entry counts the pool's wake/handoff overhead exceeds the checksum
-  /// work (measured crossover on the bench box; BENCH_pathloss.json's 495
-  /// entries parallel-loaded ~18% *slower* than serial before this).
-  static constexpr std::size_t kParallelLoadThreshold = 1024;
+  /// Writes the v3 page-aligned format (pathloss/format.h): header +
+  /// checksummed directory + page-aligned raw gain planes, with a per-entry
+  /// FNV-1a checksum over geometry and gain bytes. `threads` fans the
+  /// checksums out across a util::ThreadPool (0 = hardware concurrency);
+  /// the bytes are identical for any thread count. The file is written as
+  /// `<path>.tmp` in the same directory and then renamed over `path`, so a
+  /// MappedPathLossDatabase still open on the old file keeps reading the
+  /// old bytes instead of a truncated inode. Throws std::runtime_error when
+  /// the file cannot be written.
   void save(const std::string& path, std::size_t threads = 1) const;
-  /// Writes the v3 page-aligned format: header + checksummed directory +
-  /// page-aligned raw gain planes. Byte-identical output for any thread
-  /// count. The file loads eagerly via load() or zero-copy via
-  /// MappedPathLossDatabase (mapped_database.h).
-  void save_v3(const std::string& path, std::size_t threads = 1) const;
-  [[nodiscard]] static PathLossDatabase load(const std::string& path,
-                                             std::size_t threads = 1);
 
-  /// Header-and-geometry summary of a database file, read without loading
-  /// (or checksumming) any gain bytes. The fleet MarketStore's cheap
-  /// "open" entry point: it sizes a market's resident footprint before
-  /// deciding to load, and a probe that fails structurally predicts that
-  /// load() would throw too (checksum corruption is only caught by the
-  /// real load).
+  /// Eager load of a v3 file: a MappedPathLossDatabase open, a touch of
+  /// every entry (which verifies every entry checksum), then owned copies
+  /// of the touched footprints — gain windows and their linear twins. A
+  /// truncated, bit-flipped or otherwise damaged file is rejected with a
+  /// specific std::runtime_error message ("truncated header", "bad magic",
+  /// "unsupported version", "oversized window", "does not fit the grid",
+  /// "truncated directory", "torn payload", "trailing bytes",
+  /// "checksum mismatch") instead of being silently mis-read into the
+  /// model.
+  [[nodiscard]] static PathLossDatabase load(const std::string& path);
+
+  /// Header-and-directory summary of a v3 file, read without loading (or
+  /// checksumming) any gain bytes — the same bytes, through the same
+  /// format::read_v3, as a MappedPathLossDatabase open. A file that fails
+  /// structurally probes as !ok with the open's message (a v2 file's
+  /// message names `pathloss_db_tool --mode migrate-v3`); checksum
+  /// corruption is only caught by a touch.
   struct Probe {
     bool ok = false;
-    std::string error;        ///< load()'s message, when !ok
-    std::uint32_t version = 0;  ///< file format version (2 or 3), when ok
+    std::string error;        ///< the open's message, when !ok
+    std::uint32_t version = 0;  ///< file format version (3), when ok
     std::int32_t cols = 0;
     std::int32_t rows = 0;
     double cell_size_m = 0.0;
@@ -115,12 +102,10 @@ class PathLossDatabase final : public PathLossProvider {
     /// Sum of window bytes, doubled for the in-memory linear twins — what
     /// resident_bytes() of the eagerly loaded database will roughly be.
     std::size_t resident_bytes_estimate = 0;
-    /// v3 split of the estimate: bytes a MappedPathLossDatabase would
-    /// serve straight from the file mapping (the dB gain planes)...
+    /// Split of the estimate: bytes a MappedPathLossDatabase serves
+    /// straight from the file mapping (the dB gain planes)...
     std::size_t mapped_bytes_estimate = 0;
-    /// ...vs bytes it would heap-allocate at full residency (the linear
-    /// twins). For v2 files heap == resident_bytes_estimate and mapped ==
-    /// 0: an eager load copies everything.
+    /// ...vs bytes it heap-allocates at full residency (the linear twins).
     std::size_t heap_bytes_estimate = 0;
   };
   [[nodiscard]] static Probe probe(const std::string& path);
@@ -129,24 +114,17 @@ class PathLossDatabase final : public PathLossProvider {
   struct LoadReport {
     bool rebuilt = false;    ///< true when the file was unusable
     bool resaved = false;    ///< true when the rebuilt db was written back
-    /// True when a pristine v2 file was loaded and re-written as v3 in
-    /// place (read compat + forward migration; rebuilt stays false).
-    bool migrated = false;
     std::string error;       ///< the load failure message, when rebuilt
   };
 
-  /// Loads `path` (v2 or v3); when the file is missing/corrupted/
-  /// mismatched, falls back to recomputing every (sector, tilt) pair from
-  /// `fallback` (e.g. a BuildingProvider over the propagation model) and
-  /// best-effort re-saves the repaired database to `path` — in the v3
-  /// format, so the repaired file is mappable. A loaded file whose grid
-  /// disagrees with `fallback.grid()` counts as mismatched and triggers
-  /// the rebuild too. A *pristine* v2 file is migrated: re-saved as v3 in
-  /// place (best-effort; report->migrated). `report`, when non-null, says
-  /// what happened. `threads` applies to the load, the rebuild
-  /// (fallback.footprint is required to be concurrency-safe, per the
-  /// provider contract) and the re-save; the resulting database is
-  /// identical for any thread count.
+  /// Loads `path`; when the file is missing, corrupted, on another grid
+  /// than `fallback.grid()` or missing one of the (sector, tilt) pairs,
+  /// recomputes every pair from `fallback` (e.g. a BuildingProvider over
+  /// the propagation model) and best-effort re-saves the repaired database
+  /// to `path`. `report`, when non-null, says what happened. `threads`
+  /// applies to the rebuild (fallback.footprint is required to be
+  /// concurrency-safe, per the provider contract) and the re-save; the
+  /// resulting database is identical for any thread count.
   [[nodiscard]] static PathLossDatabase load_or_rebuild(
       const std::string& path, PathLossProvider& fallback,
       std::span<const net::SectorId> sectors,

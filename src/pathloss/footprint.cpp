@@ -124,6 +124,17 @@ SectorFootprint& SectorFootprint::operator=(const SectorFootprint& other) {
   return *this;
 }
 
+SectorFootprint SectorFootprint::to_owned() const {
+  SectorFootprint copy{*this};
+  if (copy.borrowed_) {
+    const std::span<const float> gains = window();
+    copy.window_.assign(gains.begin(), gains.end());
+    copy.view_ = copy.window_.empty() ? nullptr : copy.window_.data();
+    copy.borrowed_ = false;
+  }
+  return copy;
+}
+
 void SectorFootprint::apply_floor_and_count() {
   namespace vx = util::simd;
   const auto nan = std::numeric_limits<float>::quiet_NaN();

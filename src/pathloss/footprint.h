@@ -70,6 +70,10 @@ class SectorFootprint {
   /// True when the gain window aliases caller-owned (e.g. mapped) memory.
   [[nodiscard]] bool borrowed() const { return borrowed_; }
 
+  /// A copy that owns its gain window: a borrowed window is copied into
+  /// the heap, the linear twin is copied as is (never recomputed).
+  [[nodiscard]] SectorFootprint to_owned() const;
+
   /// Total cells of the underlying grid (not the window).
   [[nodiscard]] std::size_t cell_count() const {
     return static_cast<std::size_t>(grid_cols_) *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 
 namespace magus::pathloss::format {
@@ -39,9 +40,12 @@ V3Directory parse_v3(const char* data, std::size_t available,
     throw std::runtime_error("PathLossDatabase: bad magic in " + path);
   }
   if (version != kVersionMapped) {
-    throw std::runtime_error("PathLossDatabase: unsupported version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(kVersionMapped) + ") in " + path);
+    throw std::runtime_error(
+        "PathLossDatabase: unsupported version " + std::to_string(version) +
+        " (expected " + std::to_string(kVersionMapped) + ") in " + path +
+        (version < kVersionMapped
+             ? "; convert it with pathloss_db_tool --mode migrate-v3"
+             : ""));
   }
   cursor.read(dir.min_x, "truncated header in " + path);
   cursor.read(dir.min_y, "truncated header in " + path);
@@ -113,6 +117,12 @@ V3Directory parse_v3(const char* data, std::size_t available,
       throw std::runtime_error("PathLossDatabase: oversized window (" +
                                entry_context + ") in " + path);
     }
+    if (entry.col0 < 0 || entry.row0 < 0 ||
+        entry.col0 > dir.cols - entry.window_cols ||
+        entry.row0 > dir.rows - entry.window_rows) {
+      throw std::runtime_error("PathLossDatabase: " + entry_context +
+                               " does not fit the grid in " + path);
+    }
     entry.window_bytes = static_cast<std::size_t>(entry.window_cols) *
                          static_cast<std::size_t>(entry.window_rows) *
                          sizeof(float);
@@ -130,6 +140,37 @@ V3Directory parse_v3(const char* data, std::size_t available,
     dir.entries.push_back(entry);
   }
   return dir;
+}
+
+V3Directory read_v3(const std::string& path, std::size_t& file_bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw std::runtime_error("PathLossDatabase: cannot open " + path);
+  const std::streamoff size = in.tellg();
+  file_bytes = size > 0 ? static_cast<std::size_t>(size) : 0;
+  in.seekg(0, std::ios::beg);
+
+  // Stream in the header, peek the entry count, then the directory. A
+  // nonsensical count is left for parse_v3 to reject as a truncated
+  // directory.
+  std::vector<char> front(std::min<std::size_t>(file_bytes, kHeaderBytesV3));
+  in.read(front.data(), static_cast<std::streamsize>(front.size()));
+  if (!in) throw std::runtime_error("PathLossDatabase: read failed in " + path);
+  if (front.size() >= kHeaderBytesV3) {
+    std::uint64_t count = 0;
+    std::memcpy(&count, front.data() + kHeaderPrefixBytes - sizeof(count),
+                sizeof(count));
+    if (count <= (file_bytes - front.size()) / kDirEntryBytes) {
+      const std::size_t head = front.size();
+      const std::size_t dir_bytes =
+          static_cast<std::size_t>(count) * kDirEntryBytes;
+      front.resize(head + dir_bytes);
+      in.read(front.data() + head, static_cast<std::streamsize>(dir_bytes));
+      if (!in) {
+        throw std::runtime_error("PathLossDatabase: read failed in " + path);
+      }
+    }
+  }
+  return parse_v3(front.data(), front.size(), file_bytes, path);
 }
 
 }  // namespace magus::pathloss::format

@@ -1,14 +1,11 @@
-// On-disk layout of the path-loss database formats, shared by the eager
-// loader (database.cpp), the mmap provider (mapped_database.cpp) and the
-// db tool.
+// On-disk layout of the path-loss database file, shared by the writer and
+// the eager loader (database.cpp), the mmap provider (mapped_database.cpp)
+// and the db tool.
 //
-// v2 ("MAGUSPL1", version 2) is the eager stream format: header, then
-// entry records of geometry + checksum + gain floats back to back. Loading
-// it means reading, checksumming and copying every gain plane.
+// v3 ("MAGUSPL1", version 3) is the only format written: a mappable
+// section-table layout.
 //
-// v3 ("MAGUSPL1", version 3) is the mappable section-table format:
-//
-//   [ header  | v2 prefix + directory checksum + payload end        ]
+//   [ header  | prefix + directory checksum + payload end            ]
 //   [ directory | entry_count x { 6 geometry i32, data_offset u64,  ]
 //   [             entry checksum u64 }                              ]
 //   [ ...zero padding to a 4096-byte page boundary...               ]
@@ -20,11 +17,15 @@
 // verified) eagerly at open; gain planes start on page boundaries so an
 // mmap can alias them zero-copy and the OS faults exactly the touched
 // pages. Structural corruption — a truncated directory, a torn last page
-// (file shorter than the payload end the header promises), trailing bytes
-// — is caught at open, before any mapping is dereferenced (no SIGBUS on a
-// short file); a bit flip *inside* a gain plane is only caught by the
-// per-entry checksum on first touch, which is the deal that makes open
-// O(directory) instead of O(file).
+// (file shorter than the payload end the header promises), trailing bytes,
+// a window outside the grid — is caught at open, before any mapping is
+// dereferenced (no SIGBUS on a short file); a bit flip *inside* a gain
+// plane is only caught by the per-entry checksum on first touch, which is
+// the deal that makes open O(directory) instead of O(file).
+//
+// The retired v2 stream format (same header prefix, then entry records of
+// geometry + checksum + gain floats back to back) is read only by
+// pathloss/v2_reader.h, for `pathloss_db_tool --mode migrate-v3`.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +38,6 @@
 namespace magus::pathloss::format {
 
 inline constexpr std::uint64_t kMagic = 0x4D41475553504C31ULL;  // "MAGUSPL1"
-inline constexpr std::uint32_t kVersionEager = 2;
 inline constexpr std::uint32_t kVersionMapped = 3;
 
 /// Header prefix shared by v2 and v3: magic, version, min_x, min_y,
@@ -57,8 +57,8 @@ inline constexpr std::size_t kPageBytes = 4096;
 }
 
 /// FNV-1a over an entry's geometry ints then its raw gain bytes — the same
-/// value for the same entry in a v2 and a v3 file, which is what makes the
-/// two formats' integrity stories interchangeable.
+/// value for the same entry in a v2 and a v3 file, so an entry keeps its
+/// checksum through `pathloss_db_tool --mode migrate-v3`.
 [[nodiscard]] inline std::uint64_t entry_checksum_raw(
     std::int32_t sector, std::int32_t tilt, std::int32_t col0,
     std::int32_t row0, std::int32_t window_cols, std::int32_t window_rows,
@@ -99,13 +99,21 @@ struct V3Directory {
 /// hold at least the header and directory bytes (callers that stream only
 /// the front of the file read kHeaderBytesV3, then the directory);
 /// `file_size` is the real on-disk size. Validates the magic/version/grid,
-/// the directory checksum, that every plane's extent lies inside
-/// [directory end, payload_end] on a page boundary, and that payload_end
-/// equals file_size — so a truncated directory, a torn last page and
-/// trailing garbage all fail here, at open. Throws std::runtime_error with
-/// the database's usual "PathLossDatabase: ..." messages.
+/// the directory checksum, that every window fits the grid, that every
+/// plane's extent lies inside [directory end, payload_end] on a page
+/// boundary, and that payload_end equals file_size — so a truncated
+/// directory, a torn last page and trailing garbage all fail here, at
+/// open. Throws std::runtime_error with the database's usual
+/// "PathLossDatabase: ..." messages; an older version's message names
+/// `pathloss_db_tool --mode migrate-v3`.
 [[nodiscard]] V3Directory parse_v3(const char* data, std::size_t available,
                                    std::uint64_t file_size,
                                    const std::string& path);
+
+/// Reads `path`'s header, then the directory it announces — the only bytes
+/// an open or a probe reads — and parses them with parse_v3. Sets
+/// `file_bytes` to the real file size.
+[[nodiscard]] V3Directory read_v3(const std::string& path,
+                                  std::size_t& file_bytes);
 
 }  // namespace magus::pathloss::format

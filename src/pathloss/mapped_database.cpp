@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
@@ -54,41 +53,9 @@ struct MmapMetrics {
 
 }  // namespace
 
-format::V3Directory MappedPathLossDatabase::open_directory(
-    const std::string& path, std::size_t& file_bytes) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("PathLossDatabase: cannot open " + path);
-  const std::streamoff size = in.tellg();
-  file_bytes = size > 0 ? static_cast<std::size_t>(size) : 0;
-  in.seekg(0, std::ios::beg);
-
-  // Stream in the header, peek the entry count, then the directory — the
-  // only bytes an open ever reads. parse_v3 does all validation,
-  // including rejecting a file too short for the directory it promises.
-  std::vector<char> front(
-      std::min<std::size_t>(file_bytes, format::kHeaderBytesV3));
-  in.read(front.data(), static_cast<std::streamsize>(front.size()));
-  if (!in) throw std::runtime_error("PathLossDatabase: read failed in " + path);
-  if (front.size() >= format::kHeaderBytesV3) {
-    std::uint64_t count = 0;
-    std::memcpy(&count, front.data() + 44, sizeof(count));
-    if (count <= (file_bytes - front.size()) / format::kDirEntryBytes) {
-      const std::size_t head = front.size();
-      const std::size_t dir_bytes =
-          static_cast<std::size_t>(count) * format::kDirEntryBytes;
-      front.resize(head + dir_bytes);
-      in.read(front.data() + head, static_cast<std::streamsize>(dir_bytes));
-      if (!in) {
-        throw std::runtime_error("PathLossDatabase: read failed in " + path);
-      }
-    }
-  }
-  return format::parse_v3(front.data(), front.size(), file_bytes, path);
-}
-
 MappedPathLossDatabase::MappedPathLossDatabase(const std::string& path)
     : path_(path),
-      dir_(open_directory(path_, file_bytes_)),
+      dir_(format::read_v3(path_, file_bytes_)),
       grid_(geo::Rect{{dir_.min_x, dir_.min_y},
                       {dir_.min_x + dir_.cols * dir_.cell_size_m,
                        dir_.min_y + dir_.rows * dir_.cell_size_m}},

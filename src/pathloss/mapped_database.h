@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/grid_map.h"
@@ -53,9 +54,10 @@ namespace magus::pathloss {
 
 class MappedPathLossDatabase final : public PathLossProvider {
  public:
-  /// Opens and structurally validates `path` (must be a v3 file). Throws
-  /// std::runtime_error with the same messages as PathLossDatabase::load
-  /// on a bad header/directory/extent.
+  /// Opens and structurally validates `path` (must be a v3 file; the
+  /// header + directory are read by format::read_v3, with no mapping).
+  /// Throws std::runtime_error with the same messages as
+  /// PathLossDatabase::load on a bad header/directory/extent.
   explicit MappedPathLossDatabase(const std::string& path);
   ~MappedPathLossDatabase() override;
 
@@ -74,6 +76,11 @@ class MappedPathLossDatabase final : public PathLossProvider {
   [[nodiscard]] bool contains(net::SectorId sector,
                               radio::TiltIndex tilt) const;
   [[nodiscard]] std::size_t entry_count() const { return count_; }
+  /// Every (sector, tilt) key in the file, ascending.
+  [[nodiscard]] const std::vector<std::pair<std::int32_t, std::int32_t>>&
+  keys() const {
+    return keys_;
+  }
   /// Entries currently materialized (touched and not released).
   [[nodiscard]] std::size_t touched_count() const {
     return touched_.load(std::memory_order_relaxed);
@@ -108,12 +115,6 @@ class MappedPathLossDatabase final : public PathLossProvider {
     SectorFootprint fp;
     std::vector<float> fallback_plane;  ///< no-mmap mode only
   };
-
-  /// Reads and validates the header + directory (streamed, no mapping);
-  /// sets file_bytes. Factored out so grid_ can be built in the
-  /// initializer list from the parsed directory.
-  [[nodiscard]] static format::V3Directory open_directory(
-      const std::string& path, std::size_t& file_bytes);
 
   [[nodiscard]] Entry* find(net::SectorId sector, radio::TiltIndex tilt);
   [[nodiscard]] const Entry* find(net::SectorId sector,

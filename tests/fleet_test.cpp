@@ -115,26 +115,40 @@ TEST(MarketStore, MissBuildsThenHitsThenReloadsAcrossStores) {
   EXPECT_EQ(loaded->db_entry_count(), first->db_entry_count());
 }
 
+/// What `store` still charges once rung 1 has stripped every market but
+/// `keep` down to its model half: any budget below this must evict whole
+/// markets. Acquires `ids` (all hits on a store that already holds them).
+[[nodiscard]] std::size_t rung1_floor(MarketStore& store,
+                                      const std::vector<MarketId>& ids,
+                                      MarketId keep) {
+  std::size_t floor = store.acquire(keep)->resident_bytes();
+  for (const MarketId id : ids) {
+    if (id == keep) continue;
+    const auto handle = store.acquire(id);
+    floor += handle->resident_bytes() - handle->db_resident_bytes();
+  }
+  return floor;
+}
+
 TEST(MarketStore, EvictsLruUnderByteBudgetAndRematerializes) {
   const std::string dir = fresh_dir("fleet_store_evict");
-  StoreOptions options;
-  options.db_dir = dir;
-  options.threads = 1;
-  // Force the eager provider: this test pins the rung-2 (whole-market
-  // eviction) semantics; streaming rung-1 releases are covered separately.
-  options.prefer_mapped = false;
+  StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(3));
 
-  // Measure one market's footprint, then budget for roughly one market.
-  std::size_t one_market_bytes = 0;
+  // A budget below rung 1's floor after acquiring 0, 1, 2: stripping the
+  // cold markets' footprints cannot fit it, so rung 2 must evict.
+  std::size_t db0_bytes = 0;
+  std::size_t floor = 0;
   {
     MarketStore probe{specs, options};
-    one_market_bytes = probe.acquire(0)->resident_bytes();
+    db0_bytes = probe.acquire(0)->db_resident_bytes();
+    floor = rung1_floor(probe, {0, 1, 2}, 2);
   }
-  options.byte_budget = one_market_bytes + one_market_bytes / 2;
+  options.byte_budget = floor - 1;
 
   MarketStore store{specs, options};
   const auto h0 = store.acquire(0);
+  EXPECT_TRUE(h0->streaming());
   (void)store.acquire(1);
   (void)store.acquire(2);
   EXPECT_GT(store.evictions(), 0u);
@@ -147,7 +161,7 @@ TEST(MarketStore, EvictsLruUnderByteBudgetAndRematerializes) {
   const auto h0_again = store.acquire(0);
   EXPECT_FALSE(h0_again->rebuilt()) << h0_again->load_error();
   EXPECT_NE(h0_again.get(), h0.get());
-  EXPECT_EQ(h0_again->db_resident_bytes(), h0->db_resident_bytes());
+  EXPECT_EQ(h0_again->db_resident_bytes(), db0_bytes);
 }
 
 TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
@@ -196,37 +210,44 @@ TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
   EXPECT_EQ(h0_again->db_resident_bytes(), db0);
 }
 
-TEST(MarketStore, MigratesV2FilesToV3OnAcquire) {
-  const std::string dir = fresh_dir("fleet_store_migrate");
+TEST(MarketStore, V2FileIsRebuiltAsMappableV3) {
+  // The store opens v3 only: a v2 file (here the committed fixture, which
+  // `pathloss_db_tool --mode migrate-v3` would convert) is rebuilt, and
+  // the re-saved v3 file streams.
+  const std::string dir = fresh_dir("fleet_store_v2");
+  const StoreOptions options = store_options(dir);
+  const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(1));
+  MarketStore store{specs, options};
+  std::filesystem::copy_file(MAGUS_V2_FIXTURE, store.db_path(0));
+
+  const auto handle = store.acquire(0);
+  EXPECT_TRUE(handle->rebuilt());
+  EXPECT_TRUE(handle->streaming());
+  EXPECT_NE(handle->load_error().find("--mode migrate-v3"), std::string::npos)
+      << handle->load_error();
+  const auto probe = pathloss::PathLossDatabase::probe(store.db_path(0));
+  ASSERT_TRUE(probe.ok) << probe.error;
+  EXPECT_EQ(probe.entry_count, handle->db_entry_count());
+}
+
+TEST(MarketStore, IncompleteFileIsRebuilt) {
+  // A sound v3 file that lacks one of the store's tilts fails rung 1 and
+  // must be rebuilt in full — not loaded as is by the rebuild rung.
+  const std::string dir = fresh_dir("fleet_store_incomplete");
   StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(1));
+  std::size_t tilt0_entries = 0;
   {
-    MarketStore seed_store{specs, options};
-    (void)seed_store.acquire(0);  // rebuild, v3 resave
+    MarketStore tilt0{specs, options};
+    tilt0_entries = tilt0.acquire(0)->db_entry_count();
   }
-  const std::string path = MarketStore{specs, options}.db_path(0);
-  // Downgrade the file to v2 — the pre-upgrade fleet state.
-  pathloss::PathLossDatabase::load(path).save(path);
-  ASSERT_EQ(pathloss::PathLossDatabase::probe(path).version,
-            pathloss::format::kVersionEager);
-
+  options.tilts = {0, 1};
   MarketStore store{specs, options};
   const auto handle = store.acquire(0);
-  EXPECT_FALSE(handle->rebuilt()) << handle->load_error();
-  EXPECT_TRUE(handle->migrated());
+  EXPECT_TRUE(handle->rebuilt());
   EXPECT_TRUE(handle->streaming());
-  EXPECT_EQ(pathloss::PathLossDatabase::probe(path).version,
-            pathloss::format::kVersionMapped);
-
-  // With streaming opted out the same v3 file loads eagerly; the eager
-  // database holds windows + twins where the mapped one heaps only twins.
-  options.prefer_mapped = false;
-  MarketStore eager_store{specs, options};
-  const auto eager = eager_store.acquire(0);
-  EXPECT_FALSE(eager->rebuilt()) << eager->load_error();
-  EXPECT_FALSE(eager->streaming());
-  EXPECT_FALSE(eager->migrated());
-  EXPECT_GT(eager->db_resident_bytes(), handle->db_resident_bytes());
+  EXPECT_EQ(handle->load_error(), "database incomplete for this market");
+  EXPECT_EQ(handle->db_entry_count(), 2 * tilt0_entries);
 }
 
 TEST(MarketStore, UnknownMarketThrows) {
@@ -438,15 +459,16 @@ void expect_carried_execution_matches_replanning(const std::string& name,
   const std::vector<MarketUpgradeRequest> requests = {
       {0, 3}, {1, 3}, {2, 3}};
   StoreOptions options = store_options(dir);
-  options.prefer_mapped = false;  // whole-market eviction, not releases
-  std::size_t peak = 0;
+  // A budget below rung 1's floor once all three markets are planned, so
+  // whole markets are evicted, LRU first.
+  std::size_t floor = 0;
   {
     MarketStore unbounded{specs, options};
     WavePlanner probe{&unbounded, test_planner_options()};
     (void)probe.plan(requests);
-    peak = unbounded.peak_resident_bytes();
+    floor = rung1_floor(unbounded, {0, 1, 2}, 2);
   }
-  options.byte_budget = peak / 3;
+  options.byte_budget = floor - 1;
   MarketStore store{specs, options};
   WavePlanner planner{&store, test_planner_options()};
   const FleetWavePlan plan = planner.plan(requests);

@@ -210,7 +210,7 @@ TEST_F(PathLossParallelTest, ParallelSaveLoadRoundTripUnderThreads) {
   };
   EXPECT_EQ(read_all(serial_path), read_all(parallel_path));
 
-  PathLossDatabase loaded = PathLossDatabase::load(parallel_path, 4);
+  PathLossDatabase loaded = PathLossDatabase::load(parallel_path);
   ASSERT_EQ(loaded.entry_count(), db.entry_count());
   for (const net::SectorId s : sectors_) {
     for (const radio::TiltIndex t : tilts) {
@@ -231,10 +231,10 @@ TEST_F(PathLossParallelTest, MappedProviderConcurrentFirstTouches) {
   ParallelFootprintBuilder parallel{builder_, 4};
   PathLossDatabase db = parallel.build_database(network_, sectors_, tilts);
   const std::string path = ::testing::TempDir() + "/magus_plp_mapped.bin";
-  // v3 writes are byte-identical for any thread count, like v2 saves.
+  // Saves are byte-identical for any thread count.
   const std::string serial_path = path + ".serial";
-  db.save_v3(serial_path, 1);
-  db.save_v3(path, 4);
+  db.save(serial_path, 1);
+  db.save(path, 4);
   const auto read_all = [](const std::string& p) {
     std::ifstream in(p, std::ios::binary);
     return std::string{std::istreambuf_iterator<char>(in),
@@ -289,7 +289,7 @@ TEST_F(PathLossParallelTest, MappedReleaseThenConcurrentRetouchIsIdentical) {
   ParallelFootprintBuilder parallel{builder_, 4};
   PathLossDatabase db = parallel.build_database(network_, sectors_, tilts);
   const std::string path = ::testing::TempDir() + "/magus_plp_release.bin";
-  db.save_v3(path, 4);
+  db.save(path, 4);
 
   MappedPathLossDatabase mapped{path};
   const auto touch_all = [&] {

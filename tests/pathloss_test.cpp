@@ -11,9 +11,11 @@
 #include "pathloss/builder.h"
 #include "pathloss/database.h"
 #include "pathloss/footprint.h"
+#include "pathloss/format.h"
 #include "pathloss/parallel_builder.h"
 #include "pathloss/tilt_delta.h"
 #include "test_helpers.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace magus::pathloss {
@@ -387,25 +389,6 @@ TEST_F(BuilderTest, ParallelBuilderBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(BuilderTest, ParallelLoadMatchesSerialLoad) {
-  const net::Sector sector = make_sector();
-  PathLossDatabase db{grid_};
-  for (const radio::TiltIndex tilt : {-3, -1, 0, 2, 5}) {
-    db.insert(0, tilt, builder_.build(sector, tilt));
-  }
-  const std::string path = ::testing::TempDir() + "/magus_pl_parload.bin";
-  db.save(path, 4);
-  PathLossDatabase serial = PathLossDatabase::load(path, 1);
-  PathLossDatabase parallel = PathLossDatabase::load(path, 4);
-  std::remove(path.c_str());
-  ASSERT_EQ(serial.entry_count(), 5u);
-  ASSERT_EQ(parallel.entry_count(), 5u);
-  for (const radio::TiltIndex tilt : {-3, -1, 0, 2, 5}) {
-    expect_bitwise_equal(parallel.footprint(0, tilt),
-                         serial.footprint(0, tilt));
-  }
-}
-
 TEST(Database, InsertValidatesGrid) {
   const geo::GridMap grid{geo::Rect{{0, 0}, {500, 500}}, 100.0};
   PathLossDatabase db{grid};
@@ -415,9 +398,11 @@ TEST(Database, InsertValidatesGrid) {
 }
 
 
-// Corruption fixtures for the v2 integrity-checked format: every failure
-// mode must be rejected with its specific error message, and
-// load_or_rebuild must repair all of them from a fallback provider.
+// Corruption fixtures for the v3 file save() writes: every failure mode
+// must be rejected by load() with its specific error message, and
+// load_or_rebuild must repair all of them from a fallback provider. (The
+// same cases for the retired v2 format run on the committed v2 fixture in
+// pathloss_v2_test.cpp.)
 class DatabaseCorruption : public ::testing::Test {
  protected:
   DatabaseCorruption()
@@ -466,12 +451,31 @@ class DatabaseCorruption : public ::testing::Test {
     return {};
   }
 
-  // v2 layout: magic(8) version(4) min_x(8) min_y(8) cell(8) cols(4)
-  // rows(4) entry_count(8) = 52-byte header; each entry is sector(4)
-  // tilt(4) col0(4) row0(4) wcols(4) wrows(4) checksum(8) + floats.
-  static constexpr std::size_t kHeaderBytes = 52;
+  /// Overwrites one i32 field of directory entry `entry` (0 = sector ...
+  /// 4 = window_cols) and re-seals the directory checksum, so the edit
+  /// reaches the check behind the checksum.
+  void patch_directory(std::size_t entry, std::size_t field,
+                       std::int32_t value) const {
+    std::string bytes = read_file();
+    const std::size_t dir = format::kHeaderBytesV3;
+    std::memcpy(bytes.data() + dir + entry * format::kDirEntryBytes +
+                    field * sizeof(value),
+                &value, sizeof(value));
+    std::uint64_t entries = 0;
+    std::memcpy(&entries, bytes.data() + kEntryCountOffset, sizeof(entries));
+    const std::uint64_t checksum =
+        util::fnv1a(bytes.data() + dir, entries * format::kDirEntryBytes);
+    std::memcpy(bytes.data() + kDirChecksumOffset, &checksum,
+                sizeof(checksum));
+    write_file(bytes);
+  }
+
+  // v3 layout (pathloss/format.h): magic(8) version(4) ... entry_count at
+  // 44, directory checksum at 52, payload end at 60; the 40-byte directory
+  // records start at 68.
   static constexpr std::size_t kVersionOffset = 8;
-  static constexpr std::size_t kEntryGeometryBytes = 24;
+  static constexpr std::size_t kEntryCountOffset = 44;
+  static constexpr std::size_t kDirChecksumOffset = 52;
 
   geo::GridMap grid_;
   magus::testing::FakeProvider provider_;
@@ -479,7 +483,7 @@ class DatabaseCorruption : public ::testing::Test {
 };
 
 TEST_F(DatabaseCorruption, TruncatedHeaderRejected) {
-  write_file(read_file().substr(0, kHeaderBytes / 2));
+  write_file(read_file().substr(0, format::kHeaderBytesV3 / 2));
   EXPECT_NE(load_error().find("truncated header"), std::string::npos);
 }
 
@@ -491,9 +495,11 @@ TEST_F(DatabaseCorruption, UnsupportedVersionRejected) {
 }
 
 TEST_F(DatabaseCorruption, TruncatedEntryRejected) {
+  // Clipping the last gains leaves the file shorter than the payload end
+  // the header promises: a torn payload, caught at open.
   const std::string bytes = read_file();
-  write_file(bytes.substr(0, bytes.size() - 2));  // clip the last gains
-  EXPECT_NE(load_error().find("truncated entry 1 of 2"), std::string::npos);
+  write_file(bytes.substr(0, bytes.size() - 2));
+  EXPECT_NE(load_error().find("torn payload"), std::string::npos);
 }
 
 TEST_F(DatabaseCorruption, BitFlipInGainsFailsChecksum) {
@@ -503,31 +509,25 @@ TEST_F(DatabaseCorruption, BitFlipInGainsFailsChecksum) {
   write_file(bytes);
   const std::string error = load_error();
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
-  EXPECT_NE(error.find("entry 1 of 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("sector 0 tilt 1"), std::string::npos) << error;
 }
 
 TEST_F(DatabaseCorruption, OversizedWindowRejectedBeforeAllocation) {
-  std::string bytes = read_file();
-  // Patch entry 0's window_cols (offset 16 into the entry) to a huge
-  // value; the loader must refuse before trying to allocate it.
-  const std::size_t offset = kHeaderBytes + 16;
-  const std::int32_t huge = 1 << 28;
-  std::memcpy(bytes.data() + offset, &huge, sizeof(huge));
-  write_file(bytes);
+  // Entry 0's window_cols becomes huge; the open must refuse before
+  // anything is sized from it.
+  patch_directory(0, 4, 1 << 28);
   EXPECT_NE(load_error().find("oversized window (entry 0 of 2)"),
             std::string::npos);
 }
 
 TEST_F(DatabaseCorruption, WindowOutsideGridRejected) {
-  std::string bytes = read_file();
   // Shift entry 0's col0 so col0 + window_cols overruns the 4-wide grid
   // while window_cols itself stays plausible.
-  const std::size_t offset = kHeaderBytes + 8;
-  const std::int32_t col0 = 3;
-  std::memcpy(bytes.data() + offset, &col0, sizeof(col0));
-  write_file(bytes);
+  patch_directory(0, 2, 3);
   const std::string error = load_error();
-  EXPECT_NE(error.find("does not fit the grid"), std::string::npos) << error;
+  EXPECT_NE(error.find("entry 0 of 2 does not fit the grid"),
+            std::string::npos)
+      << error;
 }
 
 TEST_F(DatabaseCorruption, TrailingBytesRejected) {
@@ -555,26 +555,6 @@ TEST_F(DatabaseCorruption, LoadOrRebuildRepairsCorruptFile) {
   // The repaired file on disk loads cleanly now.
   const PathLossDatabase reloaded = PathLossDatabase::load(path_);
   EXPECT_EQ(reloaded.entry_count(), 2u);
-}
-
-TEST_F(DatabaseCorruption, ParallelLoadReportsSameErrors) {
-  // The parallel loader must report the same specific message as the
-  // serial scan for every corruption class, for any thread count.
-  std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  write_file(bytes);
-  for (const std::size_t threads : {1u, 3u}) {
-    try {
-      (void)PathLossDatabase::load(path_, threads);
-      ADD_FAILURE() << "load unexpectedly succeeded at threads " << threads;
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string{error.what()}.find(
-                    "checksum mismatch (entry 1 of 2"),
-                std::string::npos)
-          << error.what();
-    }
-  }
 }
 
 TEST_F(DatabaseCorruption, LoadOrRebuildParallelMatchesSerial) {

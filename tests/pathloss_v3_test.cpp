@@ -1,13 +1,15 @@
 // The v3 page-aligned path-loss format and its zero-copy streaming
-// provider: v2<->v3 round-trip bit-identity, the probe's mapped/heap
-// residency split, structural corruption caught at open (truncated
-// directory, torn last page, trailing bytes), payload corruption caught
-// on first touch (bit-flipped gain plane), forward migration, the
-// MAGUS_NO_MMAP fallback, and release/retouch bit-identity.
+// provider: the eager load as owned copies of the mapped footprints, the
+// probe's mapped/heap residency split, structural corruption caught at
+// open (truncated directory, torn last page, trailing bytes), payload
+// corruption caught on first touch (bit-flipped gain plane), save()'s
+// atomic replace under a live mapping, the MAGUS_NO_MMAP fallback, and
+// release/retouch bit-identity.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "pathloss/format.h"
 #include "pathloss/mapped_database.h"
+#include "pathloss/v2_reader.h"
 #include "test_helpers.h"
 
 namespace magus::pathloss {
@@ -25,8 +28,25 @@ namespace {
 void expect_bit_identical(const SectorFootprint& a, const SectorFootprint& b) {
   ASSERT_EQ(a.window().size(), b.window().size());
   EXPECT_EQ(a.covered_count(), b.covered_count());
+  if (a.window().empty()) return;  // an empty window's data() may be null
   EXPECT_EQ(0, std::memcmp(a.window().data(), b.window().data(),
                            a.window().size() * sizeof(float)));
+}
+
+/// Bitwise equality of the linear twins.
+void expect_same_linear(const SectorFootprint& a, const SectorFootprint& b) {
+  ASSERT_EQ(a.window_rows(), b.window_rows());
+  for (std::int32_t row = 0; row < a.window_rows(); ++row) {
+    const auto la = a.linear_row(row);
+    const auto lb = b.linear_row(row);
+    ASSERT_EQ(la.size(), lb.size());
+    EXPECT_EQ(0, std::memcmp(la.data(), lb.data(), la.size() * sizeof(float)));
+  }
+}
+
+/// The (sector, tilt) keys of tests/fixtures/pathloss_v2.pldb.
+[[nodiscard]] std::vector<std::pair<int, int>> v2_fixture_keys() {
+  return {{0, 0}, {0, 1}, {3, -2}, {5, 0}};
 }
 
 class V3Format : public ::testing::Test {
@@ -45,7 +65,7 @@ class V3Format : public ::testing::Test {
     PathLossDatabase db{grid_};
     db.insert(0, 0, provider_.footprint(0, 0));
     db.insert(0, 1, provider_.footprint(0, 1));
-    db.save_v3(path_);
+    db.save(path_);
   }
 
   ~V3Format() override { std::remove(path_.c_str()); }
@@ -80,22 +100,35 @@ class V3Format : public ::testing::Test {
 };
 
 TEST_F(V3Format, EagerLoadRoundTripsBitIdenticallyWithV2) {
-  const std::string v2_path = path_ + ".v2";
-  {
-    PathLossDatabase db{grid_};
-    db.insert(0, 0, provider_.footprint(0, 0));
-    db.insert(0, 1, provider_.footprint(0, 1));
-    db.save(v2_path);
-  }
-  PathLossDatabase from_v2 = PathLossDatabase::load(v2_path);
+  // The committed v2 fixture, decoded by the v2 reader and saved as v3,
+  // loads back bit-identically: windows, linear twins and heap charge.
+  PathLossDatabase from_v2 = read_v2(MAGUS_V2_FIXTURE);
+  from_v2.save(path_);
   PathLossDatabase from_v3 = PathLossDatabase::load(path_);
-  std::remove(v2_path.c_str());
+  ASSERT_EQ(from_v3.entry_count(), from_v2.entry_count());
+  EXPECT_EQ(from_v3.resident_bytes(), from_v2.resident_bytes());
+  for (const auto& [sector, tilt] : v2_fixture_keys()) {
+    expect_bit_identical(from_v2.footprint(sector, tilt),
+                         from_v3.footprint(sector, tilt));
+    expect_same_linear(from_v2.footprint(sector, tilt),
+                       from_v3.footprint(sector, tilt));
+  }
+}
 
-  ASSERT_EQ(from_v2.entry_count(), from_v3.entry_count());
-  EXPECT_EQ(from_v2.resident_bytes(), from_v3.resident_bytes());
+TEST_F(V3Format, LoadOwnsCopiesOfTheMappedFootprints) {
+  PathLossDatabase eager = PathLossDatabase::load(path_);
+  MappedPathLossDatabase mapped{path_};
   for (const int tilt : {0, 1}) {
-    expect_bit_identical(from_v2.footprint(0, tilt),
-                         from_v3.footprint(0, tilt));
+    const SectorFootprint& owned = eager.footprint(0, tilt);
+    const SectorFootprint& borrowed = mapped.footprint(0, tilt);
+    EXPECT_FALSE(owned.borrowed());
+    EXPECT_NE(owned.window().data(), borrowed.window().data());
+    expect_bit_identical(owned, borrowed);
+    expect_same_linear(owned, borrowed);
+  }
+  // Owned windows + twins: twice the mapped provider's twin-only heap.
+  if (mapped.using_mmap()) {
+    EXPECT_EQ(eager.resident_bytes(), 2 * mapped.resident_bytes());
   }
 }
 
@@ -132,21 +165,14 @@ TEST_F(V3Format, ProbeSplitsMappedVsHeapResidency) {
   EXPECT_EQ(v3.resident_bytes_estimate,
             v3.mapped_bytes_estimate + v3.heap_bytes_estimate);
 
-  const std::string v2_path = path_ + ".v2";
-  {
-    PathLossDatabase db{grid_};
-    db.insert(0, 0, provider_.footprint(0, 0));
-    db.insert(0, 1, provider_.footprint(0, 1));
-    db.save(v2_path);
-  }
-  const auto v2 = PathLossDatabase::probe(v2_path);
-  std::remove(v2_path.c_str());
-  ASSERT_TRUE(v2.ok) << v2.error;
-  EXPECT_EQ(v2.version, format::kVersionEager);
-  EXPECT_EQ(v2.mapped_bytes_estimate, 0u);
-  EXPECT_EQ(v2.heap_bytes_estimate, v2.resident_bytes_estimate);
-  // Same database, same full-residency estimate either way.
-  EXPECT_EQ(v2.resident_bytes_estimate, v3.resident_bytes_estimate);
+  // A v2 file is not openable; the probe says how to convert it.
+  const auto v2 = PathLossDatabase::probe(MAGUS_V2_FIXTURE);
+  EXPECT_FALSE(v2.ok);
+  EXPECT_NE(v2.error.find("unsupported version 2"), std::string::npos)
+      << v2.error;
+  EXPECT_NE(v2.error.find("pathloss_db_tool --mode migrate-v3"),
+            std::string::npos)
+      << v2.error;
 }
 
 TEST_F(V3Format, TruncatedDirectoryRejectedAtOpen) {
@@ -211,38 +237,29 @@ TEST_F(V3Format, BitFlipInPlaneCaughtOnFirstTouchNotOpen) {
   EXPECT_EQ(mapped.touched_count(), 1u);
 }
 
-TEST_F(V3Format, LoadOrRebuildMigratesPristineV2InPlace) {
-  // Rewrite the fixture file as v2, then load_or_rebuild: the load must
-  // succeed without a rebuild and the file must come back v3.
-  {
-    PathLossDatabase db{grid_};
-    db.insert(0, 0, provider_.footprint(0, 0));
-    db.insert(0, 1, provider_.footprint(0, 1));
-    db.save(path_);
+TEST_F(V3Format, SaveReplacesTheFileWithoutDisturbingALiveMapping) {
+  // Re-saving over a file that is still mapped must not shrink the mapped
+  // inode: the old mapping keeps serving what was saved first.
+  MappedPathLossDatabase old_mapping{path_};
+  if (!old_mapping.using_mmap()) {
+    GTEST_SKIP() << "positioned-read fallback re-reads the file by path";
   }
-  ASSERT_EQ(PathLossDatabase::probe(path_).version, format::kVersionEager);
+  PathLossDatabase smaller{grid_};
+  std::vector<float> dense(12, std::numeric_limits<float>::quiet_NaN());
+  dense[0] = -70.0f;
+  smaller.insert(3, 0, SectorFootprint{std::move(dense), 4, 3});
+  smaller.save(path_);
+  EXPECT_LT(std::filesystem::file_size(path_), old_mapping.file_bytes());
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
 
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-  PathLossDatabase::LoadReport report;
-  PathLossDatabase db = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &report);
-  EXPECT_FALSE(report.rebuilt);
-  EXPECT_TRUE(report.migrated);
-  EXPECT_EQ(PathLossDatabase::probe(path_).version, format::kVersionMapped);
-
-  // The migrated file is the same database — mappable and bit-identical.
-  MappedPathLossDatabase mapped{path_};
   for (const int tilt : {0, 1}) {
-    expect_bit_identical(db.footprint(0, tilt), mapped.footprint(0, tilt));
+    expect_bit_identical(provider_.footprint(0, tilt),
+                         old_mapping.footprint(0, tilt));
   }
-
-  // A second pass finds v3 already in place: no rebuild, no migration.
-  PathLossDatabase::LoadReport again;
-  (void)PathLossDatabase::load_or_rebuild(path_, provider_, sectors, tilts,
-                                          &again);
-  EXPECT_FALSE(again.rebuilt);
-  EXPECT_FALSE(again.migrated);
+  // The path itself now holds the new database.
+  const PathLossDatabase reloaded = PathLossDatabase::load(path_);
+  EXPECT_EQ(reloaded.entry_count(), 1u);
+  EXPECT_TRUE(reloaded.contains(3, 0));
 }
 
 TEST_F(V3Format, NoMmapFallbackServesIdenticalFootprints) {
@@ -288,14 +305,6 @@ TEST_F(V3Format, ReleaseResidencyRematerializesBitIdentically) {
   EXPECT_EQ(mapped.resident_bytes(), full_bytes);
   EXPECT_EQ(0, std::memcmp(gains.data(), again0->window().data(),
                            gains.size() * sizeof(float)));
-}
-
-TEST_F(V3Format, SerialFallbackThresholdDocumentsCrossover) {
-  // The measured crossover lives in one place; both loaders' phase-2
-  // fan-out consults it. 495 entries (the pathloss bench DB) must stay
-  // serial, and the constant must stay a power-of-two-ish sane bound.
-  EXPECT_GT(PathLossDatabase::kParallelLoadThreshold, 495u);
-  EXPECT_LE(PathLossDatabase::kParallelLoadThreshold, 16384u);
 }
 
 }  // namespace
