@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks of the hot paths: footprint
 // construction, full model rebuild, incremental power/tilt updates,
-// snapshot/restore, utility evaluation (and its CQI pass alone), batch
-// candidate scoring, and one Algorithm-1 probe.
+// snapshot/restore, utility evaluation with a cold CQI memo (and its CQI
+// pass alone), one restore/set_power/evaluate probe cycle on a warm memo,
+// batch candidate scoring, and one Algorithm-1 rate probe.
 //
 // Beyond the google-benchmark flags, the binary accepts:
 //   --threads N   worker threads for the parallel-scoring benchmarks
@@ -124,29 +125,35 @@ void BM_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
 
+// One evaluation with a cold CQI memo: every cell is classified, as on a
+// scratch's first evaluation. (On an unchanged state a warm memo would
+// keep every cell; BM_ProbeCycle measures the warm case.)
 void BM_UtilityEvaluation(benchmark::State& state) {
   model::AnalysisModel& model = shared_model();
   model.set_configuration(model.network().default_configuration());
   model.freeze_uniform_ue_density();
-  core::Evaluator evaluator{&model, core::Utility::performance()};
+  const core::Utility utility = core::Utility::performance();
+  core::EvalScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate());
+    scratch.cqi_memo.clear();
+    benchmark::DoNotOptimize(core::evaluate_utility(model, utility, scratch));
   }
 }
 BENCHMARK(BM_UtilityEvaluation)->Unit(benchmark::kMillisecond);
 
-// Pass 1 of BM_UtilityEvaluation alone (per-cell CQI + sector loads), so
-// the pass-1 / pass-2 split of one evaluation is visible.
+// Pass 1 of BM_UtilityEvaluation alone (per-cell CQI + sector loads, cold
+// memo), so the pass-1 / pass-2 split of one evaluation is visible.
 void BM_CqiLoadsKernel(benchmark::State& state) {
   model::AnalysisModel& model = shared_model();
   model.set_configuration(model.network().default_configuration());
   model.freeze_uniform_ue_density();
-  std::vector<std::int8_t> cqi(static_cast<std::size_t>(model.cell_count()));
+  model::CqiMemo memo;
   std::vector<double> loads(model.network().sector_count());
   for (auto _ : state) {
+    memo.clear();
     model::cqi_and_loads_kernel(model.state(), model.ue_density(),
                                 model.noise_mw(),
-                                model.options().min_service_sinr_db, cqi,
+                                model.options().min_service_sinr_db, memo,
                                 loads);
     benchmark::DoNotOptimize(loads.data());
   }
@@ -244,6 +251,29 @@ void BM_DemotionRebuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DemotionRebuild)->Unit(benchmark::kMillisecond);
+
+/// The production probe shape: restore the base state, move the busiest
+/// sector's power by +1 or -1 dB, and evaluate on a warm scratch, whose
+/// CQI memo keeps every cell the move provably did not re-classify.
+void BM_ProbeCycle(benchmark::State& state) {
+  model::AnalysisModel& model = shared_model();
+  model.set_configuration(model.network().default_configuration());
+  model.freeze_uniform_ue_density();
+  const net::SectorId sector = busiest_sector(model);
+  const double power = model.configuration()[sector].power_dbm;
+  const auto base = model.snapshot();
+  const core::Utility utility = core::Utility::performance();
+  core::EvalScratch scratch;
+  benchmark::DoNotOptimize(core::evaluate_utility(model, utility, scratch));
+  double delta = 1.0;
+  for (auto _ : state) {
+    model.restore(base);
+    model.set_power(sector, power + delta);
+    delta = -delta;
+    benchmark::DoNotOptimize(core::evaluate_utility(model, utility, scratch));
+  }
+}
+BENCHMARK(BM_ProbeCycle)->Unit(benchmark::kMillisecond);
 
 /// Timed batch-scoring sweep for the --json artifact: same work at 1 thread
 /// and at --threads, reporting throughput and the measured speedup, plus

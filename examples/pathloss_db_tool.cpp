@@ -9,7 +9,8 @@
 //               directory alone — no gain bytes are read,
 //   migrate-v3: rewrite a file in the retired v2 stream format as v3 (the
 //               zero-copy format MappedPathLossDatabase opens in O(dir));
-//               a file that is already v3 is left alone,
+//               a file that is already v3 is left alone, and a damaged
+//               v3 file is reported with the open's error (exit 1),
 //   verify:     open a database through the mmap provider and check it
 //               against a freshly built one; every checked matrix also
 //               passes its first-touch checksum.
@@ -131,9 +132,18 @@ int main(int argc, char** argv) {
     }
 
     if (mode == "migrate-v3") {
-      if (pathloss::PathLossDatabase::probe(path).ok) {
+      const pathloss::PathLossDatabase::Probe probe =
+          pathloss::PathLossDatabase::probe(path);
+      if (probe.ok) {
         std::cout << path << " is already v3; nothing to do\n";
         return 0;
+      }
+      // Only an older format is migrated; a damaged v3 file (or no
+      // database at all) is reported as the probe found it.
+      if (probe.version == 0 ||
+          probe.version >= pathloss::format::kVersionMapped) {
+        std::cerr << path << ": " << probe.error << '\n';
+        return 1;
       }
       const auto db = pathloss::read_v2(path);
       std::string out = args.get_string("out");

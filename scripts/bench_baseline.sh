@@ -50,7 +50,7 @@ fi
 
 echo "== micro-model kernels (rebuild, demotion, thread scaling; one artifact) =="
 "$BUILD_DIR/bench/bench_micro_model" --threads 8 --scaling \
-  --benchmark_filter='BM_DemotionRebuild|BM_FullRebuild|BM_UtilityEvaluation' \
+  --benchmark_filter='BM_DemotionRebuild|BM_FullRebuild|BM_UtilityEvaluation|BM_ProbeCycle' \
   --json "$out_dir/BENCH_model.json"
 
 echo "== fig12 convergence, coverage index =="

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: regular build + tests, a perf smoke of the coverage
 # index against the legacy scan (fails if the index is slower), the
-# path-loss database tool smoke (generate / info / verify / migrate-v3),
+# path-loss database tool smoke (generate / info / verify / migrate-v3,
+# and a torn v3 file that migrate-v3 must report, not migrate),
 # the profiler attribution smoke (--profile report invariants), the bench
 # regression gate (bench_regress.py self-test, plus a full re-run diffed
 # against the committed BENCH_*.json baselines in the non-fast pass), the
@@ -57,6 +58,13 @@ cqi_exact = metrics["counters"].get("model.kernel.cqi_exact_cells")
 assert cqi_cells > 0 and cqi_exact is not None, "no CQI kernel counters"
 assert cqi_exact <= 1e-3 * cqi_cells, \
     f"CQI libm share too high: {cqi_exact}/{cqi_cells}"
+# The CQI memo must keep at least half of the classified cells: searches
+# move one sector at a time, and most cells' SINR moves far less than
+# their distance to a CQI edge.
+cqi_memo = metrics["counters"].get("model.kernel.cqi_memo_cells")
+assert cqi_memo is not None, "no CQI memo counter"
+assert cqi_memo >= 0.5 * cqi_cells, \
+    f"CQI memo share too low: {cqi_memo}/{cqi_cells}"
 trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events, "empty trace"
@@ -64,7 +72,8 @@ cats = {e["cat"] for e in events}
 assert {"planner", "evaluator", "model"} <= cats, f"missing subsystems: {cats}"
 print(f"artifacts OK: {len(events)} trace events, "
       f"{len(metrics['counters'])} counters, "
-      f"CQI libm share {cqi_exact / cqi_cells:.1e}")
+      f"CQI libm share {cqi_exact / cqi_cells:.1e}, "
+      f"memo share {cqi_memo / cqi_cells:.2f}")
 EOF
 
 echo "==> Perf smoke: coverage index vs legacy demotion workload"
@@ -188,7 +197,18 @@ info=$("$tool" --mode info --db "$artifacts/v2.pldb")
 grep -q "format: v3" <<<"$info" || { echo "migrated file is not v3"; exit 1; }
 again=$("$tool" --mode migrate-v3 --db "$artifacts/v2.pldb")
 grep -q "already v3" <<<"$again" || { echo "second migrate-v3 rewrote"; exit 1; }
-echo "tool smoke OK: generate/info/verify exit 0, v2 fixture migrated to v3"
+# A damaged v3 file is not a v2 file: migrate-v3 must report the probe's
+# own error (a generate output cut by 100 bytes is a torn payload), exit 1.
+size=$(stat -c %s "$artifacts/tool.pldb")
+head -c $(( size - 100 )) "$artifacts/tool.pldb" > "$artifacts/torn.pldb"
+set +e
+torn=$("$tool" --mode migrate-v3 --db "$artifacts/torn.pldb" 2>&1)
+torn_status=$?
+set -e
+[[ $torn_status -eq 1 ]] || { echo "torn migrate-v3 exit $torn_status"; exit 1; }
+grep -q "torn payload" <<<"$torn" || { echo "torn file misreported: $torn"; exit 1; }
+echo "tool smoke OK: generate/info/verify exit 0, v2 fixture migrated to v3," \
+  "torn v3 reported"
 
 echo "==> Profiler smoke: --profile attribution report"
 # The profile run reuses the micro-model summary workload (serial +

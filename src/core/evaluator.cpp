@@ -5,6 +5,7 @@
 
 #include "lte/amc.h"
 #include "model/kernels.h"
+#include "obs/metrics.h"
 
 namespace magus::core {
 
@@ -16,14 +17,16 @@ double evaluate_utility(const model::EvalContext& context,
   const auto bandwidth = context.network().carrier().bandwidth;
   const auto& scheduler = context.options().scheduler;
 
-  scratch.cqi.resize(cells);
   scratch.load.resize(sectors);
 
   // Pass 1: per-grid CQI and per-sector attached-UE loads (Formula 3),
-  // fused into one kernel sweep over the GridState SoA spans.
+  // fused into one kernel sweep over the GridState SoA spans. The memo
+  // keeps every cell whose CQI provably did not change since this
+  // scratch's last evaluation.
   model::cqi_and_loads_kernel(context.state(), ue, context.noise_mw(),
                               context.options().min_service_sinr_db,
-                              scratch.cqi, scratch.load);
+                              scratch.cqi_memo, scratch.load);
+  const std::vector<std::int8_t>& cqi_of = scratch.cqi_memo.cqi;
 
   // Pass 2: UE-weighted utility with shared rates (Formula 4). A cell's
   // per-UE term u(shared_rate(r_max(q), N(s))) depends only on its serving
@@ -44,9 +47,9 @@ double evaluate_utility(const model::EvalContext& context,
   const model::GridState& state = context.state();
   double total = 0.0;
   for (std::size_t i = 0; i < cells; ++i) {
-    if (scratch.cqi[i] <= 0 || ue[i] <= 0.0) continue;
+    if (cqi_of[i] <= 0 || ue[i] <= 0.0) continue;
     const auto s = static_cast<std::size_t>(state.best[i]);
-    const auto q = static_cast<std::size_t>(scratch.cqi[i]);
+    const auto q = static_cast<std::size_t>(cqi_of[i]);
     const std::size_t slot = s * kLevels + (q - 1);
     std::uint8_t& memo_state = scratch.memo_state[slot];
     if (memo_state == kUnset) {
@@ -75,6 +78,9 @@ Evaluator::Evaluator(model::AnalysisModel* model, Utility utility)
 
 double Evaluator::evaluate() const {
   ++evaluations_;
+  static obs::Counter& serial_evals =
+      obs::MetricsRegistry::global().counter("evaluator.serial_evals");
+  serial_evals.add(1);
   return evaluate_utility(*model_, utility_, scratch_);
 }
 

@@ -13,13 +13,17 @@
 
 #include "core/utility.h"
 #include "model/analysis_model.h"
+#include "model/kernels.h"
 
 namespace magus::core {
 
 /// Reusable buffers for evaluate_utility (avoids per-call allocation).
 /// One instance per thread; never share across concurrent evaluations.
 struct EvalScratch {
-  std::vector<std::int8_t> cqi;
+  /// Pass 1's per-cell CQI and its memo (model::CqiMemo). The memo carries
+  /// over between evaluations — that is its point — and stays exact for
+  /// any context of any market, so one scratch may serve several.
+  model::CqiMemo cqi_memo;
   std::vector<double> load;
   /// Per-(serving sector, CQI) memo of the per-UE utility term, slot
   /// s * kCqiLevels + (q - 1). Valid only where memo_state says so; every
@@ -54,8 +58,15 @@ class Evaluator {
   /// Number of evaluate() calls so far — the search-cost metric reported
   /// by the convergence benches. Counts only *this* evaluator's serial
   /// calls; ParallelEvaluator::evaluation_count() aggregates across its
-  /// workers.
+  /// workers. Every serial call also adds 1 to the registry counter
+  /// "evaluator.serial_evals" (ParallelEvaluator's calls count under
+  /// "evaluator.evals").
   [[nodiscard]] long evaluation_count() const { return evaluations_; }
+
+  /// The scratch evaluate() runs on. MagusPlanner hands it to its
+  /// ParallelEvaluator as the calling thread's scratch, so one CQI memo
+  /// serves the planner's serial and batch evaluations.
+  [[nodiscard]] EvalScratch& scratch() const { return scratch_; }
 
  private:
   model::AnalysisModel* model_;

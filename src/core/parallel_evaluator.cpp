@@ -38,17 +38,23 @@ struct EvaluatorMetrics {
 }  // namespace
 
 ParallelEvaluator::ParallelEvaluator(model::AnalysisModel* model,
-                                     Utility utility, std::size_t threads)
+                                     Utility utility, std::size_t threads,
+                                     EvalScratch* caller_scratch)
     : model_(model),
       utility_(std::move(utility)),
       owned_pool_(std::make_unique<util::ThreadPool>(threads)),
-      pool_(owned_pool_.get()) {
+      pool_(owned_pool_.get()),
+      caller_scratch_(caller_scratch) {
   init();
 }
 
 ParallelEvaluator::ParallelEvaluator(model::AnalysisModel* model,
-                                     Utility utility, util::ThreadPool* pool)
-    : model_(model), utility_(std::move(utility)), pool_(pool) {
+                                     Utility utility, util::ThreadPool* pool,
+                                     EvalScratch* caller_scratch)
+    : model_(model),
+      utility_(std::move(utility)),
+      pool_(pool),
+      caller_scratch_(caller_scratch) {
   if (pool_ == nullptr) {
     throw std::invalid_argument("ParallelEvaluator: pool must not be null");
   }
@@ -75,7 +81,7 @@ double ParallelEvaluator::evaluate() {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   EvaluatorMetrics::get().evals.add(1);
   workers_[0].evals->add(1);  // serial evaluations run on the caller
-  return evaluate_utility(*model_, utility_, scratch_);
+  return evaluate_utility(*model_, utility_, scratch_of(0));
 }
 
 std::vector<double> ParallelEvaluator::score(std::span<const Candidate> batch) {
@@ -110,7 +116,8 @@ std::vector<double> ParallelEvaluator::score(std::span<const Candidate> batch) {
     }
     w.context->restore(base);
     apply_candidate(*w.context, batch[task]);
-    utilities[task] = evaluate_utility(*w.context, utility_, w.scratch);
+    utilities[task] =
+        evaluate_utility(*w.context, utility_, scratch_of(worker));
     w.evals->add(1);
   });
   evaluations_.fetch_add(static_cast<long>(batch.size()),

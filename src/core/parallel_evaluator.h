@@ -39,8 +39,14 @@ class ParallelEvaluator {
   /// model to it before any worker clone exists, so every evaluation runs
   /// the CSR top-2 fast path (bit-identical to the unbound scan — see
   /// model/coverage_index.h).
+  ///
+  /// `caller_scratch`, when given, is the calling thread's scratch (worker
+  /// 0's): the planner passes its serial Evaluator's, so serial and batch
+  /// evaluations on that thread share one CQI memo. It must outlive the
+  /// evaluator and be used by no other thread.
   ParallelEvaluator(model::AnalysisModel* model, Utility utility,
-                    std::size_t threads = 1);
+                    std::size_t threads = 1,
+                    EvalScratch* caller_scratch = nullptr);
 
   /// Shares an externally owned worker pool instead of spawning one. The
   /// fleet WavePlanner plans hundreds of markets with one pool: a fresh
@@ -49,7 +55,8 @@ class ParallelEvaluator {
   /// one at a time (ThreadPool::run is not reentrant), which the sequential
   /// per-market planning loop guarantees.
   ParallelEvaluator(model::AnalysisModel* model, Utility utility,
-                    util::ThreadPool* pool);
+                    util::ThreadPool* pool,
+                    EvalScratch* caller_scratch = nullptr);
 
   [[nodiscard]] model::AnalysisModel& model() const { return *model_; }
   [[nodiscard]] const Utility& utility() const { return utility_; }
@@ -85,13 +92,23 @@ class ParallelEvaluator {
 
   /// Shared tail of both constructors: index binding + worker slots.
   void init();
+  /// The scratch worker `worker` evaluates on (see workers_).
+  [[nodiscard]] EvalScratch& scratch_of(std::size_t worker) {
+    return worker == 0 && caller_scratch_ != nullptr
+               ? *caller_scratch_
+               : workers_[worker].scratch;
+  }
 
   model::AnalysisModel* model_;
   Utility utility_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  ///< null when shared
   util::ThreadPool* pool_;
+  /// workers_[0] is the calling thread (util::ThreadPool counts the
+  /// caller as worker 0), so the serial evaluate() runs on its scratch
+  /// too: both sweep the same market, and one CQI memo serves both.
+  /// caller_scratch_, when set, replaces worker 0's own scratch.
   std::vector<Worker> workers_;
-  EvalScratch scratch_;  ///< for the serial evaluate()
+  EvalScratch* caller_scratch_;
   std::atomic<long> evaluations_{0};
 };
 

@@ -61,10 +61,10 @@ ParallelEvaluator& MagusPlanner::parallel_evaluator() const {
         options_.shared_pool != nullptr
             ? std::make_unique<ParallelEvaluator>(
                   &evaluator_->model(), evaluator_->utility(),
-                  options_.shared_pool)
+                  options_.shared_pool, &evaluator_->scratch())
             : std::make_unique<ParallelEvaluator>(
                   &evaluator_->model(), evaluator_->utility(),
-                  options_.threads);
+                  options_.threads, &evaluator_->scratch());
   }
   return *parallel_;
 }

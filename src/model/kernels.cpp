@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <numbers>
 
@@ -36,9 +37,30 @@ namespace {
 /// Lanes whose approximate SINR lies within it are decided by libm.
 constexpr double kGuardDb = 1e-6;
 
-/// Cells classified by the CQI kernels, and the cells among them whose CQI
-/// libm decided (guard-band lanes plus the scalar tail). Added once per
-/// kernel call; the ratio is the share of cells that still paid a log10.
+/// The memo screen's constants (DESIGN.md §8). The slack taken off every
+/// margin covers the float storage of d (2.6e-7 dB), the approximation's
+/// error and libm's ulps (< 1e-11 dB at realistic SINRs). The shrink
+/// factor, applied before the float conversion, keeps a stored margin
+/// below its double even after round-to-nearest (2^-24 relative), with
+/// room for the screen's products, constant and subtraction to round
+/// (a few 2^-53) and for SINR rounding that grows with |SINR|. Margins
+/// outside [kMemoMinDb, kMemoMaxDb] are stored as 0, so a stored margin is
+/// 0 or a normal float.
+constexpr double kMemoSlackDb = 2.0 * kGuardDb;
+constexpr double kMemoShrink = 1.0 - 0x1p-20;
+constexpr double kMemoMinDb = 1e-30;
+constexpr double kMemoMaxDb = 1e30;
+/// A denominator is stored only when its float copy is normal and finite.
+constexpr double kFloatMin = std::numeric_limits<float>::min();
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+/// dB per neper: 10 * log10(x) = kDbPerNeper * ln(x).
+constexpr double kDbPerNeper = 10.0 / std::numbers::ln10;
+
+/// Cells classified by the CQI kernels, the cells among them whose CQI
+/// libm decided (guard-band lanes plus the scalar tail), and the cells
+/// whose CQI the memo kept. Added once per kernel call; exact / cells is
+/// the share of cells that still paid a log10, memo / cells the share
+/// that paid neither the approximation nor libm.
 [[nodiscard]] obs::Counter& cqi_cells_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("model.kernel.cqi_cells");
@@ -47,6 +69,11 @@ constexpr double kGuardDb = 1e-6;
 [[nodiscard]] obs::Counter& cqi_exact_cells_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("model.kernel.cqi_exact_cells");
+  return counter;
+}
+[[nodiscard]] obs::Counter& cqi_memo_cells_counter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::global().counter("model.kernel.cqi_memo_cells");
   return counter;
 }
 
@@ -121,15 +148,46 @@ class CqiSweep {
     }
   }
 
-  /// CQI of cells [i, i + K) into q; returns how many lanes libm decided.
-  /// Forced inline: as a call it measured ~10% slower in BM_CqiLoadsKernel.
-  [[gnu::always_inline]] int chunk(std::size_t i, std::int32_t* q) const {
-    // denom = noise + max(0, total - best_mw); max_d's "b wins on equal"
-    // rule reproduces std::max(0.0, x) exactly (+0.0 for x == ±0.0).
-    const vx::vdouble denom = vx::add_d(
+  /// The SINR denominators of cells [i, i + K): noise + max(0, total -
+  /// best_mw). max_d's "b wins on equal" rule reproduces std::max(0.0, x)
+  /// exactly (+0.0 for x == ±0.0).
+  [[gnu::always_inline]] vx::vdouble denom(std::size_t i) const {
+    return vx::add_d(
         vnoise_, vx::max_d(vx::sub_d(vx::loadu_d(total_mw_ + i),
                                      vx::loadu_d(best_mw_ + i)),
                            vx::set1_d(0.0)));
+  }
+
+  /// The memo screen of cells [i, i + K): true when every lane keeps its
+  /// memoized CQI — its rp is equal, it has a server, and
+  /// kDbPerNeper * |d - d_c| < m * min(d, d_c). A NaN, zero or infinite d
+  /// fails the compare, and m = 0 never passes.
+  [[gnu::always_inline]] bool memo_hits(std::size_t i, vx::vdouble denom,
+                                        const CqiMemo& memo) const {
+    const vx::fmask same = vx::m_and(
+        vx::cmp_eq_f(vx::loadu_f(best_rp_ + i),
+                     vx::loadu_f(memo.rp_dbm.data() + i)),
+        vx::m_not(vx::cmp_eq_i(vx::loadu_i(best_ + i),
+                               vx::set1_i(net::kInvalidSector))));
+    const vx::vdouble cached =
+        vx::to_double(vx::loadu_f(memo.denom_mw.data() + i));
+    const vx::vdouble diff = vx::sub_d(denom, cached);
+    const vx::vdouble moved = vx::mul_d(vx::set1_d(kDbPerNeper),
+                                        vx::max_d(diff, vx::neg_d(diff)));
+    const vx::vdouble allowed =
+        vx::mul_d(vx::to_double(vx::loadu_f(memo.margin_db.data() + i)),
+                  vx::min_d(denom, cached));
+    const vx::dmask hit =
+        vx::m_and(vx::widen(same), vx::cmp_lt_d(moved, allowed));
+    return vx::to_bits(hit) == (1u << vx::kWidth) - 1u;
+  }
+
+  /// CQI of cells [i, i + K) into q, given their denominators; returns how
+  /// many lanes libm decided. With a memo, also refreshes the cells'
+  /// entries. Forced inline: as a call it measured ~10% slower in
+  /// BM_CqiLoadsKernel.
+  [[gnu::always_inline]] int classify(std::size_t i, vx::vdouble denom,
+                                      std::int32_t* q, CqiMemo* memo) const {
     const vx::ExpSplit split = vx::split_exp_d(denom);
     const vx::dmask no_server = vx::widen(vx::cmp_eq_i(
         vx::loadu_i(best_ + i), vx::set1_i(net::kInvalidSector)));
@@ -162,6 +220,30 @@ class CqiSweep {
     // Below the service floor the scalar path returns 0 before the table.
     vx::storeu_i(q, vx::blend_i(vx::narrow(vx::cmp_lt_d(sinr, vmin_)),
                                 vx::set1_i(0), count));
+    if (memo != nullptr) {
+      // The margin: the distance of the approximate SINR to its
+      // interval's edges and to the floor, less the slack, shrunk, and
+      // kept only on lanes the approximation decided for a server whose
+      // d is a normal float.
+      const vx::vdouble to_floor = vx::sub_d(sinr, vmin_);
+      const vx::vdouble distance = vx::min_d(
+          vx::min_d(vx::sub_d(sinr, lower), vx::sub_d(upper, sinr)),
+          vx::max_d(to_floor, vx::neg_d(to_floor)));
+      const vx::vdouble margin =
+          vx::mul_d(vx::sub_d(distance, vx::set1_d(kMemoSlackDb)),
+                    vx::set1_d(kMemoShrink));
+      const vx::dmask keep = vx::m_and(
+          vx::m_and(vx::m_not(exact), vx::m_not(no_server)),
+          vx::m_and(
+              vx::m_and(vx::cmp_ge_d(denom, vx::set1_d(kFloatMin)),
+                        vx::cmp_le_d(denom, vx::set1_d(kFloatMax))),
+              vx::m_and(vx::cmp_ge_d(margin, vx::set1_d(kMemoMinDb)),
+                        vx::cmp_le_d(margin, vx::set1_d(kMemoMaxDb)))));
+      vx::storeu_f(memo->rp_dbm.data() + i, vx::loadu_f(best_rp_ + i));
+      vx::storeu_f(memo->denom_mw.data() + i, vx::to_float(denom));
+      vx::storeu_f(memo->margin_db.data() + i,
+                   vx::to_float(vx::blend_d(keep, margin, vx::set1_d(0.0))));
+    }
     const unsigned bits = vx::to_bits(exact);
     if (bits == 0) return 0;
     int n = 0;
@@ -208,7 +290,8 @@ void sweep_cqi(const GridState& state, double noise_mw, double min_sinr_db,
   std::int32_t q[K] = {};
   std::size_t i = 0;
   for (; i + K <= cells; i += K) {
-    exact += static_cast<std::size_t>(sweep.chunk(i, q));
+    exact += static_cast<std::size_t>(
+        sweep.classify(i, sweep.denom(i), q, nullptr));
     for (std::size_t j = 0; j < K; ++j) emit(i + j, q[j]);
   }
   exact += cells - i;
@@ -229,19 +312,59 @@ void cqi_kernel(const GridState& state, double noise_mw,
 
 void cqi_and_loads_kernel(const GridState& state,
                           std::span<const double> ue_density, double noise_mw,
-                          double min_service_sinr_db,
-                          std::span<std::int8_t> cqi_out,
+                          double min_service_sinr_db, CqiMemo& memo,
                           std::span<double> loads_out) {
   std::fill(loads_out.begin(), loads_out.end(), 0.0);
+  const std::size_t cells = state.cells();
+  // The floor is compared bitwise, so a NaN floor matches itself (its
+  // margins are all 0 anyway).
+  const bool warm =
+      memo.valid && memo.cqi.size() == cells &&
+      std::bit_cast<std::uint64_t>(memo.min_service_sinr_db) ==
+          std::bit_cast<std::uint64_t>(min_service_sinr_db);
+  if (!warm) {
+    memo.cqi.resize(cells);
+    memo.rp_dbm.resize(cells);
+    memo.denom_mw.resize(cells);
+    memo.margin_db.resize(cells);
+    memo.min_service_sinr_db = min_service_sinr_db;
+  }
+  const CqiSweep sweep{state, noise_mw, min_service_sinr_db};
   const net::SectorId* best = state.best.data();
-  sweep_cqi(state, noise_mw, min_service_sinr_db,
-            [&](std::size_t c, std::int32_t q) {
-              cqi_out[c] = static_cast<std::int8_t>(q);
-              // Scatter-add stays scalar: two lanes may hit the same sector.
-              if (q > 0 && ue_density[c] > 0.0) {
-                loads_out[static_cast<std::size_t>(best[c])] += ue_density[c];
-              }
-            });
+  std::int8_t* cqi = memo.cqi.data();
+  // Scatter-add stays scalar: two lanes may hit the same sector.
+  const auto add_load = [&](std::size_t c) {
+    if (cqi[c] > 0 && ue_density[c] > 0.0) {
+      loads_out[static_cast<std::size_t>(best[c])] += ue_density[c];
+    }
+  };
+  constexpr std::size_t K = vx::kWidth;
+  std::size_t exact = 0;
+  std::size_t reused = 0;
+  std::int32_t q[K] = {};
+  std::size_t i = 0;
+  for (; i + K <= cells; i += K) {
+    const vx::vdouble denom = sweep.denom(i);
+    if (warm && sweep.memo_hits(i, denom, memo)) {
+      reused += K;
+    } else {
+      exact += static_cast<std::size_t>(sweep.classify(i, denom, q, &memo));
+      for (std::size_t j = 0; j < K; ++j) {
+        cqi[i + j] = static_cast<std::int8_t>(q[j]);
+      }
+    }
+    for (std::size_t j = 0; j < K; ++j) add_load(i + j);
+  }
+  // The scalar tail has no entries to screen: libm decides it every time.
+  exact += cells - i;
+  for (; i < cells; ++i) {
+    cqi[i] = static_cast<std::int8_t>(sweep.cell(i));
+    add_load(i);
+  }
+  memo.valid = true;
+  cqi_cells_counter().add(cells);
+  cqi_exact_cells_counter().add(exact);
+  cqi_memo_cells_counter().add(reused);
 }
 
 void loads_kernel(const GridState& state, std::span<const double> ue_density,
@@ -266,7 +389,8 @@ void loads_kernel(const GridState& state, std::span<const double> ue_density,
     }
     if (!any) continue;
     classified += K;
-    exact += static_cast<std::size_t>(sweep.chunk(i, q));
+    exact += static_cast<std::size_t>(
+        sweep.classify(i, sweep.denom(i), q, nullptr));
     for (std::size_t j = 0; j < K; ++j) {
       const std::size_t c = i + j;
       if (ue_density[c] > 0.0 && best[c] != net::kInvalidSector &&

@@ -122,6 +122,12 @@ PathLossDatabase::Probe PathLossDatabase::probe(const std::string& path) {
     result.ok = true;
   } catch (const std::runtime_error& error) {
     result.error = error.what();
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t magic = 0;
+    std::uint32_t version = 0;
+    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+    in.read(reinterpret_cast<char*>(&version), sizeof(version));
+    if (in && magic == format::kMagic) result.version = version;
   }
   return result;
 }

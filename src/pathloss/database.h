@@ -93,7 +93,10 @@ class PathLossDatabase final : public PathLossProvider {
   struct Probe {
     bool ok = false;
     std::string error;        ///< the open's message, when !ok
-    std::uint32_t version = 0;  ///< file format version (3), when ok
+    /// The header's format version (3 when ok); also set when the open
+    /// failed past a valid magic, so a caller can tell an older format
+    /// (< 3) from a damaged v3 file. 0 when no magic was read.
+    std::uint32_t version = 0;
     std::int32_t cols = 0;
     std::int32_t rows = 0;
     double cell_size_m = 0.0;

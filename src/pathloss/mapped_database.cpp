@@ -1,6 +1,7 @@
 #include "pathloss/mapped_database.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
@@ -77,6 +78,14 @@ MappedPathLossDatabase::MappedPathLossDatabase(const std::string& path)
       }
       map_ = static_cast<const std::byte*>(map);
       map_length_ = file_bytes_;
+    } else {
+      // The fallback reads through one descriptor held until close, so
+      // the handle keeps reading the inode it opened even after a save()
+      // renames a new file over the path.
+      fd_ = ::open(path_.c_str(), O_RDONLY);
+      if (fd_ < 0) {
+        throw std::runtime_error("PathLossDatabase: cannot open " + path_);
+      }
     }
 #endif
     count_ = dir_.entries.size();
@@ -119,9 +128,36 @@ void MappedPathLossDatabase::unmap() noexcept {
   if (map_ != nullptr) {
     ::munmap(const_cast<void*>(static_cast<const void*>(map_)), map_length_);
   }
+  if (fd_ >= 0) ::close(fd_);
 #endif
   map_ = nullptr;
   map_length_ = 0;
+  fd_ = -1;
+}
+
+bool MappedPathLossDatabase::read_plane(std::uint64_t offset, char* out,
+                                        std::size_t bytes) const {
+#if MAGUS_HAS_MMAP
+  // pread leaves no shared file position, so concurrent first touches of
+  // different entries read through the one descriptor without a lock.
+  while (bytes > 0) {
+    const ::ssize_t got =
+        ::pread(fd_, out, bytes, static_cast<::off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    offset += static_cast<std::uint64_t>(got);
+    bytes -= static_cast<std::size_t>(got);
+  }
+  return true;
+#else
+  // Without POSIX a fresh stream per touch keeps this path lock-free
+  // across entries, at the price of re-opening the path.
+  std::ifstream in(path_, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(out, static_cast<std::streamsize>(bytes));
+  return static_cast<bool>(in);
+#endif
 }
 
 MappedPathLossDatabase::Entry* MappedPathLossDatabase::find(
@@ -153,14 +189,11 @@ void MappedPathLossDatabase::materialize(Entry& entry) {
     plane = reinterpret_cast<const float*>(map_ + meta.data_offset);
   } else if (meta.window_bytes > 0) {
     // Positioned-read fallback: same laziness and validation order, the
-    // plane just lives in an entry-owned heap buffer. A fresh stream per
-    // touch keeps this path lock-free across entries.
+    // plane just lives in an entry-owned heap buffer.
     entry.fallback_plane.resize(meta.window_bytes / sizeof(float));
-    std::ifstream in(path_, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(meta.data_offset));
-    in.read(reinterpret_cast<char*>(entry.fallback_plane.data()),
-            static_cast<std::streamsize>(meta.window_bytes));
-    if (!in) {
+    if (!read_plane(meta.data_offset,
+                    reinterpret_cast<char*>(entry.fallback_plane.data()),
+                    meta.window_bytes)) {
       entry.fallback_plane = std::vector<float>{};
       throw std::runtime_error("PathLossDatabase: read failed in " + path_);
     }

@@ -34,6 +34,9 @@
 // directory parse is identical, and a first touch pread()s the plane into
 // an entry-owned heap buffer instead of aliasing the mapping (laziness and
 // validation order preserved; the dB window just counts as heap bytes).
+// The descriptor is opened with the provider and held until it closes, so
+// like a mapping it keeps serving the file it opened after a save()
+// renames another over the path.
 #pragma once
 
 #include <atomic>
@@ -120,6 +123,11 @@ class MappedPathLossDatabase final : public PathLossProvider {
   [[nodiscard]] const Entry* find(net::SectorId sector,
                                   radio::TiltIndex tilt) const;
   void materialize(Entry& entry);
+  /// Reads `bytes` at `offset` of the opened file (the no-mmap fallback);
+  /// false on a short read or an I/O error.
+  [[nodiscard]] bool read_plane(std::uint64_t offset, char* out,
+                                std::size_t bytes) const;
+  /// Unmaps the file or closes the fallback's descriptor.
   void unmap() noexcept;
 
   std::string path_;
@@ -130,6 +138,7 @@ class MappedPathLossDatabase final : public PathLossProvider {
   std::size_t mapped_bytes_ = 0;  ///< sum of plane bytes when mmap'd
   const std::byte* map_ = nullptr;
   std::size_t map_length_ = 0;
+  int fd_ = -1;  ///< the fallback's descriptor, held from open to close
 
   /// Sorted (sector, tilt) keys; entries_[i] matches keys_[i]. Sized once
   /// at open — entry addresses are stable forever after.

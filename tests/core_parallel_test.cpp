@@ -64,18 +64,31 @@ TEST(ParallelEvaluatorTest, ScoreMatchesSerialEvaluation) {
     model.restore(base);
   }
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ParallelEvaluator parallel{&model, Utility::performance(), threads};
-    const std::vector<double> scores = parallel.score(batch);
-    ASSERT_EQ(scores.size(), expected.size());
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      EXPECT_EQ(scores[i], expected[i]) << "threads " << threads
-                                        << " candidate " << i;
+  // With the serial evaluator's scratch as the caller's (the planner's
+  // wiring), serial and worker-0 evaluations share one CQI memo and every
+  // double stays the same.
+  for (const bool shared : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ParallelEvaluator parallel{&model, Utility::performance(), threads,
+                                 shared ? &serial.scratch() : nullptr};
+      const std::vector<double> scores = parallel.score(batch);
+      ASSERT_EQ(scores.size(), expected.size());
+      for (std::size_t i = 0; i < scores.size(); ++i) {
+        EXPECT_EQ(scores[i], expected[i])
+            << "threads " << threads << " shared " << shared
+            << " candidate " << i;
+      }
+      // The model's own state is untouched by scoring.
+      EXPECT_TRUE(model.configuration() == base.config);
+      EXPECT_EQ(parallel.evaluate(), base_utility);
+      EXPECT_EQ(serial.evaluate(), base_utility);
     }
-    // The model's own state is untouched by scoring.
-    EXPECT_TRUE(model.configuration() == base.config);
-    EXPECT_EQ(serial.evaluate(), base_utility);
   }
+  // Worker 0 evaluates on the caller's scratch.
+  EvalScratch caller;
+  ParallelEvaluator parallel{&model, Utility::performance(), 2, &caller};
+  EXPECT_EQ(parallel.evaluate(), base_utility);
+  EXPECT_TRUE(caller.cqi_memo.valid);
 }
 
 TEST(ParallelEvaluatorTest, EvaluationCountAggregatesAcrossWorkers) {

@@ -221,6 +221,23 @@ TEST(PlannerLazyBinding, LazyPlanEqualsEagerlyBoundPlan) {
   EXPECT_EQ(lazy.ue_density, eager.ue_density);
 }
 
+// Serial evaluations (C_before, C_upgrade, pre-plan and polish steps) count
+// under the registry's evaluator.serial_evals, one per evaluate() call.
+TEST(PlannerCounters, SerialEvalsCounterMatchesTheSerialEvaluator) {
+  LineMarket market;
+  const MagusPlanner planner{&market.evaluator, LineMarket::options()};
+  obs::Counter& serial_evals =
+      obs::MetricsRegistry::global().counter("evaluator.serial_evals");
+  const std::uint64_t counted_before = serial_evals.value();
+  const long evaluated_before = market.evaluator.evaluation_count();
+  const std::vector<net::SectorId> targets = {1};  // LineWorld east
+  (void)planner.plan_upgrade(targets);
+  const long evaluated = market.evaluator.evaluation_count() - evaluated_before;
+  EXPECT_GT(evaluated, 0);
+  EXPECT_EQ(serial_evals.value() - counted_before,
+            static_cast<std::uint64_t>(evaluated));
+}
+
 TEST(PlannerLazyBinding, PlansCarryTheirDensity) {
   LineMarket market;
   const MagusPlanner planner{&market.evaluator, LineMarket::options()};

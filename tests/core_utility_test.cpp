@@ -62,11 +62,12 @@ TEST(Recovery, Formula7) {
                                       const Utility& utility) {
   const auto cells = static_cast<std::size_t>(context.cell_count());
   const auto ue = context.ue_density();
-  std::vector<std::int8_t> cqi(cells);
+  model::CqiMemo memo;
   std::vector<double> load(context.network().sector_count());
   model::cqi_and_loads_kernel(context.state(), ue, context.noise_mw(),
-                              context.options().min_service_sinr_db, cqi,
+                              context.options().min_service_sinr_db, memo,
                               load);
+  const std::vector<std::int8_t>& cqi = memo.cqi;
   const auto bandwidth = context.network().carrier().bandwidth;
   const auto& scheduler = context.options().scheduler;
   double total = 0.0;

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,23 @@ TEST_F(V3Format, ProbeSplitsMappedVsHeapResidency) {
   EXPECT_NE(v2.error.find("pathloss_db_tool --mode migrate-v3"),
             std::string::npos)
       << v2.error;
+  // A failed probe still reports the version it read, so the tool's
+  // migrate-v3 can tell an older format from a damaged v3 file.
+  EXPECT_EQ(v2.version, 2u);
+}
+
+TEST_F(V3Format, ProbeOfADamagedFileKeepsItsVersion) {
+  const std::string bytes = read_file();
+  write_file(bytes.substr(0, bytes.size() - 100));
+  const auto torn = PathLossDatabase::probe(path_);
+  EXPECT_FALSE(torn.ok);
+  EXPECT_NE(torn.error.find("torn payload"), std::string::npos) << torn.error;
+  EXPECT_EQ(torn.version, format::kVersionMapped);
+
+  write_file("not a path-loss database");
+  const auto foreign = PathLossDatabase::probe(path_);
+  EXPECT_FALSE(foreign.ok);
+  EXPECT_EQ(foreign.version, 0u);
 }
 
 TEST_F(V3Format, TruncatedDirectoryRejectedAtOpen) {
@@ -238,28 +256,48 @@ TEST_F(V3Format, BitFlipInPlaneCaughtOnFirstTouchNotOpen) {
 }
 
 TEST_F(V3Format, SaveReplacesTheFileWithoutDisturbingALiveMapping) {
-  // Re-saving over a file that is still mapped must not shrink the mapped
-  // inode: the old mapping keeps serving what was saved first.
-  MappedPathLossDatabase old_mapping{path_};
-  if (!old_mapping.using_mmap()) {
-    GTEST_SKIP() << "positioned-read fallback re-reads the file by path";
-  }
-  PathLossDatabase smaller{grid_};
-  std::vector<float> dense(12, std::numeric_limits<float>::quiet_NaN());
-  dense[0] = -70.0f;
-  smaller.insert(3, 0, SectorFootprint{std::move(dense), 4, 3});
-  smaller.save(path_);
-  EXPECT_LT(std::filesystem::file_size(path_), old_mapping.file_bytes());
-  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+  // Re-saving over a file that is still open must not disturb the open
+  // handle: a mapping keeps the old inode mapped, and the positioned-read
+  // fallback (MAGUS_NO_MMAP=1) reads it through the descriptor it holds.
+  // Neither leg touches an entry before the save, so every first touch
+  // reads the old inode after the path moved on.
+  for (const bool no_mmap : {false, true}) {
+    if (no_mmap) ::setenv("MAGUS_NO_MMAP", "1", 1);
+    std::unique_ptr<MappedPathLossDatabase> old_handle;
+    try {
+      old_handle = std::make_unique<MappedPathLossDatabase>(path_);
+    } catch (...) {
+      ::unsetenv("MAGUS_NO_MMAP");
+      throw;
+    }
+    ::unsetenv("MAGUS_NO_MMAP");
+    if (no_mmap) EXPECT_FALSE(old_handle->using_mmap());
 
-  for (const int tilt : {0, 1}) {
-    expect_bit_identical(provider_.footprint(0, tilt),
-                         old_mapping.footprint(0, tilt));
+    PathLossDatabase smaller{grid_};
+    std::vector<float> dense(12, std::numeric_limits<float>::quiet_NaN());
+    dense[0] = -70.0f;
+    smaller.insert(3, 0, SectorFootprint{std::move(dense), 4, 3});
+    smaller.save(path_);
+    EXPECT_LT(std::filesystem::file_size(path_), old_handle->file_bytes());
+    EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+
+    for (const int tilt : {0, 1}) {
+      expect_bit_identical(provider_.footprint(0, tilt),
+                           old_handle->footprint(0, tilt));
+      expect_same_linear(provider_.footprint(0, tilt),
+                         old_handle->footprint(0, tilt));
+    }
+    // The path itself now holds the new database.
+    const PathLossDatabase reloaded = PathLossDatabase::load(path_);
+    EXPECT_EQ(reloaded.entry_count(), 1u);
+    EXPECT_TRUE(reloaded.contains(3, 0));
+
+    // Put the original back for the next leg.
+    PathLossDatabase original{grid_};
+    original.insert(0, 0, provider_.footprint(0, 0));
+    original.insert(0, 1, provider_.footprint(0, 1));
+    original.save(path_);
   }
-  // The path itself now holds the new database.
-  const PathLossDatabase reloaded = PathLossDatabase::load(path_);
-  EXPECT_EQ(reloaded.entry_count(), 1u);
-  EXPECT_TRUE(reloaded.contains(3, 0));
 }
 
 TEST_F(V3Format, NoMmapFallbackServesIdenticalFootprints) {

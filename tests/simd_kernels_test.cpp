@@ -429,10 +429,11 @@ TEST(KernelIdentity, CqiAndLoadsMatchPerCellReference) {
       density[i] = u(rng) < 0.5 ? 0.0 : 10.0 * u(rng);
     }
 
-    std::vector<std::int8_t> cqi(cells);
+    model::CqiMemo memo;
     std::vector<double> loads(sectors);
-    model::cqi_and_loads_kernel(state, density, noise_mw, min_sinr, cqi,
+    model::cqi_and_loads_kernel(state, density, noise_mw, min_sinr, memo,
                                 loads);
+    const std::vector<std::int8_t>& cqi = memo.cqi;
 
     std::vector<double> expect_loads(sectors, 0.0);
     for (std::size_t i = 0; i < cells; ++i) {
@@ -558,10 +559,12 @@ TEST(KernelIdentity, CqiOnAndAroundEveryThresholdMatchesLibm) {
         density[c] = k % 5 == 0 ? 0.0 : 1.0 + 0.25 * static_cast<double>(k % 7);
       }
 
-      std::vector<std::int8_t> fused(cells), cqi_only(cells);
+      model::CqiMemo memo;
+      std::vector<std::int8_t> cqi_only(cells);
       std::vector<double> loads(sectors), loads_only(sectors);
-      model::cqi_and_loads_kernel(state, density, 0.0, min_sinr, fused,
+      model::cqi_and_loads_kernel(state, density, 0.0, min_sinr, memo,
                                   loads);
+      const std::vector<std::int8_t>& fused = memo.cqi;
       model::cqi_kernel(state, 0.0, min_sinr, cqi_only);
       model::loads_kernel(state, density, 0.0, min_sinr, loads_only);
 
