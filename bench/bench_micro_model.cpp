@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks of the hot paths: footprint
 // construction, full model rebuild, incremental power/tilt updates,
 // snapshot/restore, utility evaluation with a cold CQI memo (and its CQI
-// pass alone), one restore/set_power/evaluate probe cycle on a warm memo,
+// pass alone), restore/set_power/evaluate and restore/set_tilt/evaluate
+// probe cycles on a warm memo, one footprint's dB -> linear twin pass,
 // batch candidate scoring, and one Algorithm-1 rate probe.
 //
 // Beyond the google-benchmark flags, the binary accepts:
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -274,6 +276,52 @@ void BM_ProbeCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeCycle)->Unit(benchmark::kMillisecond);
+
+/// The tilt probe shape: restore the base state, tilt the busiest sector
+/// by +1 or -1 step (both off the indexed plane), and evaluate on a warm
+/// scratch.
+void BM_TiltProbeCycle(benchmark::State& state) {
+  model::AnalysisModel& model = shared_model();
+  model.set_configuration(model.network().default_configuration());
+  model.freeze_uniform_ue_density();
+  const net::SectorId sector = busiest_sector(model);
+  const int tilt = model.configuration()[sector].tilt;
+  const auto base = model.snapshot();
+  const core::Utility utility = core::Utility::performance();
+  core::EvalScratch scratch;
+  benchmark::DoNotOptimize(core::evaluate_utility(model, utility, scratch));
+  int delta = 1;
+  for (auto _ : state) {
+    model.restore(base);
+    model.set_tilt(sector, tilt + delta);
+    delta = -delta;
+    benchmark::DoNotOptimize(core::evaluate_utility(model, utility, scratch));
+  }
+}
+BENCHMARK(BM_TiltProbeCycle)->Unit(benchmark::kMillisecond);
+
+/// One footprint's dB -> linear twin pass (the busiest sector at its
+/// default tilt), as a first touch of its matrix runs it.
+void BM_LinearTwin(benchmark::State& state) {
+  model::AnalysisModel& model = shared_model();
+  model.set_configuration(model.network().default_configuration());
+  const net::SectorId sector = busiest_sector(model);
+  const std::span<const float> gains =
+      shared_experiment()
+          .provider()
+          .footprint(sector, model.configuration()[sector].tilt)
+          .window();
+  std::vector<float> linear(gains.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pathloss::linear_twin(gains.data(), linear.data(), gains.size()));
+    benchmark::DoNotOptimize(linear.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(gains.size()));
+}
+BENCHMARK(BM_LinearTwin)->Unit(benchmark::kMicrosecond);
 
 /// Timed batch-scoring sweep for the --json artifact: same work at 1 thread
 /// and at --threads, reporting throughput and the measured speedup, plus

@@ -50,7 +50,7 @@ fi
 
 echo "== micro-model kernels (rebuild, demotion, thread scaling; one artifact) =="
 "$BUILD_DIR/bench/bench_micro_model" --threads 8 --scaling \
-  --benchmark_filter='BM_DemotionRebuild|BM_FullRebuild|BM_UtilityEvaluation|BM_ProbeCycle' \
+  --benchmark_filter='BM_DemotionRebuild|BM_FullRebuild|BM_UtilityEvaluation|BM_ProbeCycle|BM_TiltProbeCycle|BM_LinearTwin' \
   --json "$out_dir/BENCH_model.json"
 
 echo "== fig12 convergence, coverage index =="
@@ -80,6 +80,44 @@ if (( check )); then
     --fresh-dir "$out_dir"
   exit $?
 fi
+
+# Provenance: a binary stamps meta.git_sha when its build tree was
+# configured, which may be several commits back. Stamp what was actually
+# measured: the HEAD the tree sits on, whether it had uncommitted changes,
+# and a sha256 over src/ and bench/ (perfbench/run.py's source_digest
+# recipe: relative path + bytes of every .h/.cpp/.txt/.py file, sorted).
+python3 - <<'PY'
+import hashlib, json, subprocess
+from pathlib import Path
+
+def git(*args):
+    try:
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              timeout=10).stdout.strip()
+    except OSError:
+        return ""
+
+digest = hashlib.sha256()
+root = Path.cwd()
+for base in (root / "src", root / "bench"):
+    for path in sorted(base.rglob("*")):
+        if path.is_file() and path.suffix in (".h", ".cpp", ".txt", ".py"):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+sha = git("rev-parse", "--short", "HEAD") or "unknown"
+dirty = bool(git("status", "--porcelain", "--",
+                 "src", "bench", "CMakeLists.txt"))
+for name in ("BENCH_model.json", "BENCH_fig12_index.json",
+             "BENCH_pathloss.json", "BENCH_streaming.json",
+             "BENCH_recovery.json", "BENCH_fleet.json"):
+    path = Path(name)
+    data = json.loads(path.read_text())
+    meta = data.setdefault("meta", {})
+    meta["git_sha"] = sha
+    meta["git_dirty"] = dirty
+    meta["source_digest"] = digest.hexdigest()[:16]
+    path.write_text(json.dumps(data, indent=2) + "\n")
+PY
 
 echo
 echo "Artifacts: BENCH_model.json BENCH_fig12_index.json BENCH_pathloss.json BENCH_streaming.json BENCH_recovery.json BENCH_fleet.json"

@@ -65,6 +65,15 @@ cqi_memo = metrics["counters"].get("model.kernel.cqi_memo_cells")
 assert cqi_memo is not None, "no CQI memo counter"
 assert cqi_memo >= 0.5 * cqi_cells, \
     f"CQI memo share too low: {cqi_memo}/{cqi_cells}"
+# Every footprint's dB -> linear twin is a guarded vector kernel: libm
+# decides only the lanes near a float rounding midpoint, at most 1e-3 of
+# the covered cells.
+linear_cells = metrics["counters"].get("pathloss.linear.cells", 0)
+linear_exact = metrics["counters"].get("pathloss.linear.exact_cells")
+assert linear_cells > 0 and linear_exact is not None, \
+    "no linear-twin counters"
+assert linear_exact <= 1e-3 * linear_cells, \
+    f"linear-twin libm share too high: {linear_exact}/{linear_cells}"
 trace = json.load(open(f"{d}/trace.json"))
 events = trace["traceEvents"]
 assert events, "empty trace"
@@ -73,7 +82,8 @@ assert {"planner", "evaluator", "model"} <= cats, f"missing subsystems: {cats}"
 print(f"artifacts OK: {len(events)} trace events, "
       f"{len(metrics['counters'])} counters, "
       f"CQI libm share {cqi_exact / cqi_cells:.1e}, "
-      f"memo share {cqi_memo / cqi_cells:.2f}")
+      f"memo share {cqi_memo / cqi_cells:.2f}, "
+      f"linear-twin libm share {linear_exact / linear_cells:.1e}")
 EOF
 
 echo "==> Perf smoke: coverage index vs legacy demotion workload"

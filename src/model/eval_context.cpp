@@ -143,22 +143,6 @@ void EvalContext::rebuild() {
   invalidate_loads();
 }
 
-void EvalContext::offer_candidate(geo::GridIndex g, net::SectorId sector,
-                                  float rp_dbm, double mw) {
-  const auto i = static_cast<std::size_t>(g);
-  if (beats(rp_dbm, sector, state_.best_rp_dbm[i], state_.best[i])) {
-    state_.second[i] = state_.best[i];
-    state_.second_rp_dbm[i] = state_.best_rp_dbm[i];
-    state_.best[i] = sector;
-    state_.best_rp_dbm[i] = rp_dbm;
-    state_.best_mw[i] = mw;
-  } else if (beats(rp_dbm, sector, state_.second_rp_dbm[i],
-                   state_.second[i])) {
-    state_.second[i] = sector;
-    state_.second_rp_dbm[i] = rp_dbm;
-  }
-}
-
 void EvalContext::add_contribution(
     net::SectorId sector, const pathloss::SectorFootprint& footprint,
     double power_dbm) {
@@ -208,22 +192,29 @@ void EvalContext::remove_contribution(
     swept += line.size();
   }
   cells_swept.add(swept);
-  // Re-rank the demoted cells after the sweep. Deferring is
-  // order-equivalent to the interleaved scalar loop: recompute_top2 reads
-  // only immutable index/config data plus the cell's own state and writes
-  // only that cell's top-2 fields, and the sweep visits each cell once.
+  rerank_deferred(demoted);
+  invalidate_loads();
+}
+
+void EvalContext::rerank_deferred(const std::vector<geo::GridIndex>& cells) {
+  // Deferring the re-ranks out of a sweep is order-equivalent to the
+  // interleaved scalar loop: recompute_top2 reads only immutable
+  // index/config data and the per-sector mirrors (never the cell's top-2
+  // state) and writes only that cell's top-2 fields, and the sweep visits
+  // each cell once (simd_sweeps.h).
   static obs::Counter& recomputes =
       obs::MetricsRegistry::global().counter("model.kernel.recompute_cells");
-  recomputes.add(demoted.size());
+  recomputes.add(cells.size());
   // Fetched up front so the counter is listed, at 0, in every report.
   obs::Counter& offindex = offindex_recomputes();
   if (index_ != nullptr && off_index_sectors_.empty()) {
-    recompute_top2_batch(demoted);
+    recompute_top2_batch(cells);
   } else {
-    if (!off_index_sectors_.empty()) offindex.add(demoted.size());
-    for (const geo::GridIndex g : demoted) recompute_top2(g);
+    // Off-index re-ranks stay scalar: each probes the off-index sectors'
+    // footprints, and a batched variant measured slower.
+    if (!off_index_sectors_.empty()) offindex.add(cells.size());
+    for (const geo::GridIndex g : cells) recompute_top2(g);
   }
-  invalidate_loads();
 }
 
 void EvalContext::recompute_top2(geo::GridIndex g) {
@@ -441,49 +432,30 @@ void EvalContext::set_power(net::SectorId sector, double power_dbm) {
   }
   if (!setting.active) return;  // config changed; no radio contribution
 
-  const auto& fp = footprint_of(sector);
-  const bool decreasing = clamped < old_power;
-  const double old_plin = util::dbm_to_mw(old_power);
-  const double new_plin = util::dbm_to_mw(clamped);
   // Both received powers are formed as float(power + gain) — the exact
   // expression rebuild()/add_contribution use — so the stored per-grid rp
   // values stay bit-identical to a from-scratch rebuild at the new
   // configuration (the equivalence tests rely on this). The mW delta uses
   // the same hoisted 10^(P/10) * linear products as add/remove, so the
-  // old contribution cancels exactly.
-  std::size_t reranked = 0;
-  fp.for_each_covered_linear([&](geo::GridIndex g, float gain, float linear) {
-    const auto i = static_cast<std::size_t>(g);
-    const auto new_rp = static_cast<float>(clamped + gain);
-    const auto lin = static_cast<double>(linear);
-    const double new_mw = new_plin * lin;
-    state_.total_mw[i] =
-        std::max(0.0, state_.total_mw[i] + new_mw - old_plin * lin);
-    if (state_.best[i] == sector) {
-      state_.best_rp_dbm[i] = new_rp;
-      state_.best_mw[i] = new_mw;
-      if (decreasing && beats(state_.second_rp_dbm[i], state_.second[i],
-                              new_rp, sector)) {
-        ++reranked;
-        recompute_top2(g);
-      }
-    } else if (state_.second[i] == sector) {
-      state_.second_rp_dbm[i] = new_rp;
-      if (decreasing) {
-        // A third sector may now outrank the runner-up.
-        ++reranked;
-        recompute_top2(g);
-      } else if (beats(new_rp, sector, state_.best_rp_dbm[i],
-                       state_.best[i])) {
-        std::swap(state_.best[i], state_.second[i]);
-        std::swap(state_.best_rp_dbm[i], state_.second_rp_dbm[i]);
-        state_.best_mw[i] = new_mw;
-      }
-    } else {
-      offer_candidate(g, sector, new_rp, new_mw);
-    }
-  });
-  if (!off_index_sectors_.empty()) offindex_recomputes().add(reranked);
+  // old contribution cancels exactly. The per-cell rules run in the SIMD
+  // power_row sweep; the cells it cannot update in place are re-ranked
+  // after it.
+  const auto& fp = footprint_of(sector);
+  const double old_plin = util::dbm_to_mw(old_power);
+  const double new_plin = util::dbm_to_mw(clamped);
+  const bool decreasing = clamped < old_power;
+  const sweeps::StateView view = sweeps::view_of(state_);
+  std::vector<geo::GridIndex>& rerank = recompute_scratch_;
+  rerank.clear();
+  for (std::int32_t r = 0; r < fp.window_rows(); ++r) {
+    const std::span<const float> line = fp.window_row(r);
+    const geo::GridIndex first = fp.row_first_cell(r);
+    sweeps::power_row(view, static_cast<std::size_t>(first), line.data(),
+                      fp.linear_row(r).data(),
+                      static_cast<std::int32_t>(line.size()), sector, clamped,
+                      old_plin, new_plin, decreasing, first, rerank);
+  }
+  rerank_deferred(rerank);
   invalidate_loads();
 }
 
@@ -510,21 +482,104 @@ void EvalContext::set_tilt(net::SectorId sector, int tilt_index) {
   const pathloss::SectorFootprint& old_fp = footprint_of(sector);
   const pathloss::SectorFootprint& new_fp =
       market_->provider().footprint(sector, clamped);
-  // Mark the sector inactive while its old contribution is removed:
-  // recompute_top2 must not re-offer the stale footprint.
-  const bool was_active = setting.active;
-  if (was_active) {
-    setting.active = false;
-    sync_index_bookkeeping();  // hide the sector from recompute's span scan
-    remove_contribution(sector, old_fp, setting.power_dbm);
-  }
   setting.tilt = clamped;
   current_footprint_[static_cast<std::size_t>(sector)] = &new_fp;
-  if (was_active) {
-    setting.active = true;
-    add_contribution(sector, new_fp, setting.power_dbm);
-  }
+  // Mirrors first: a re-rank queued by the sweep must see the sector at
+  // its new tilt (its new plane, or the off-index list).
   sync_index_bookkeeping();
+  if (setting.active) swap_contribution(sector, old_fp, new_fp);
+}
+
+void EvalContext::swap_contribution(net::SectorId sector,
+                                    const pathloss::SectorFootprint& old_fp,
+                                    const pathloss::SectorFootprint& new_fp) {
+  // One sweep over the union of the two windows replaces remove → re-rank
+  // → add. Per row the union splits into column segments held by the old
+  // window only (remove_row), by both (swap_row) or by the new one only
+  // (add_row); each keeps the three-step path's arithmetic per cell, and
+  // top-2 under beats() is a strict total order, so updating in place
+  // where the sector keeps its slot and re-ranking the rest with the
+  // sector at its new gain gives that path's state bit for bit
+  // (DESIGN.md §8).
+  const double power_dbm = config_[sector].power_dbm;
+  const double p_lin = util::dbm_to_mw(power_dbm);
+  const sweeps::StateView view = sweeps::view_of(state_);
+  std::vector<geo::GridIndex>& rerank = recompute_scratch_;
+  rerank.clear();
+  static obs::Counter& cells_swept =
+      obs::MetricsRegistry::global().counter("model.kernel.swap_cells");
+  std::size_t swept = 0;
+
+  // The grid columns [lo, hi) a footprint's window holds in one grid row
+  // (empty when the window does not reach the row).
+  struct Span {
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    [[nodiscard]] bool holds(std::int32_t x) const {
+      return lo <= x && x < hi;
+    }
+  };
+  const auto cols_in_row = [](const pathloss::SectorFootprint& fp,
+                              std::int32_t row) {
+    if (row < fp.row0() || row >= fp.row0() + fp.window_rows()) return Span{};
+    return Span{fp.col0(), fp.col0() + fp.window_cols()};
+  };
+  // Column x of a grid row inside a footprint's window and linear twin.
+  const auto gains_at = [](const pathloss::SectorFootprint& fp,
+                           std::int32_t row, std::int32_t x) {
+    return fp.window_row(row - fp.row0()).data() + (x - fp.col0());
+  };
+  const auto linear_at = [](const pathloss::SectorFootprint& fp,
+                            std::int32_t row, std::int32_t x) {
+    return fp.linear_row(row - fp.row0()).data() + (x - fp.col0());
+  };
+  // Grid rows either window reaches; an empty window (0 rows) reaches
+  // none and must not widen the range.
+  std::int32_t row_lo = std::numeric_limits<std::int32_t>::max();
+  std::int32_t row_hi = std::numeric_limits<std::int32_t>::min();
+  for (const pathloss::SectorFootprint* fp : {&old_fp, &new_fp}) {
+    if (fp->window_rows() > 0) {
+      row_lo = std::min(row_lo, fp->row0());
+      row_hi = std::max(row_hi, fp->row0() + fp->window_rows());
+    }
+  }
+  const std::int32_t grid_cols = new_fp.grid_cols();
+  for (std::int32_t row = row_lo; row < row_hi; ++row) {
+    const Span old_cols = cols_in_row(old_fp, row);
+    const Span new_cols = cols_in_row(new_fp, row);
+    // Segments in ascending column order, so queued cells stay in grid
+    // order.
+    std::int32_t cuts[4] = {old_cols.lo, old_cols.hi, new_cols.lo,
+                            new_cols.hi};
+    std::sort(cuts, cuts + 4);
+    for (int k = 0; k < 3; ++k) {
+      const std::int32_t x = cuts[k];
+      const std::int32_t n = cuts[k + 1] - x;
+      const bool old_here = old_cols.holds(x);
+      const bool new_here = new_cols.holds(x);
+      if (n <= 0 || !(old_here || new_here)) continue;  // empty, or a gap
+      const geo::GridIndex first = row * grid_cols + x;
+      const auto base = static_cast<std::size_t>(first);
+      if (old_here && new_here) {
+        sweeps::swap_row(view, base, gains_at(old_fp, row, x),
+                         linear_at(old_fp, row, x), gains_at(new_fp, row, x),
+                         linear_at(new_fp, row, x), n, sector, power_dbm,
+                         p_lin, first, rerank);
+      } else if (old_here) {
+        sweeps::remove_row(view, base, gains_at(old_fp, row, x),
+                           linear_at(old_fp, row, x), n, sector, p_lin, first,
+                           rerank);
+      } else {
+        sweeps::add_row(view, base, gains_at(new_fp, row, x),
+                        linear_at(new_fp, row, x), n, sector, power_dbm,
+                        p_lin);
+      }
+      swept += static_cast<std::size_t>(n);
+    }
+  }
+  cells_swept.add(swept);
+  rerank_deferred(rerank);
+  invalidate_loads();
 }
 
 void EvalContext::retouch_footprints() {

@@ -180,18 +180,21 @@ class EvalContext {
   void remove_contribution(net::SectorId sector,
                            const pathloss::SectorFootprint& footprint,
                            double power_dbm);
+  /// Replaces sector's contribution at old_fp with new_fp (same power) in
+  /// one fused sweep; the configuration and mirrors must already hold the
+  /// new tilt.
+  void swap_contribution(net::SectorId sector,
+                         const pathloss::SectorFootprint& old_fp,
+                         const pathloss::SectorFootprint& new_fp);
+  /// Re-ranks the cells a mutation sweep queued: the vector batch on the
+  /// pure index fast path, recompute_top2 per cell otherwise.
+  void rerank_deferred(const std::vector<geo::GridIndex>& cells);
   /// Re-ranks the top-2 servers of one grid by scanning active sectors.
   void recompute_top2(geo::GridIndex g);
   /// Vectorized recompute_top2 over a batch of cells (K lanes at a time);
   /// requires the pure index fast path (index_ bound, off_index_sectors_
   /// empty). Bit-identical to calling recompute_top2 per cell.
   void recompute_top2_batch(const std::vector<geo::GridIndex>& cells);
-  /// Offers (sector, rp) as a candidate server for g; O(1) promotion.
-  /// `mw` is the sector's exact mW contribution (the same 10^(P/10) *
-  /// linear product added to total_mw) — stored as best_mw if the
-  /// candidate wins so interference subtraction cancels exactly.
-  void offer_candidate(geo::GridIndex g, net::SectorId sector, float rp_dbm,
-                       double mw);
   [[nodiscard]] double sinr_from(double rp_dbm, double rp_mw,
                                  double total_mw) const;
   [[nodiscard]] const pathloss::SectorFootprint& footprint_of(
@@ -237,7 +240,7 @@ class EvalContext {
   /// nullptr — the int32 the SIMD sweeps gather instead of the pointer.
   std::vector<std::int32_t> active_plane_off_;
   double power_cap_ = 0.0;
-  /// Reusable demoted-cell list for remove_contribution (avoids a heap
+  /// Reusable re-rank list for the mutation sweeps (avoids a heap
   /// allocation per incremental mutation).
   std::vector<geo::GridIndex> recompute_scratch_;
 

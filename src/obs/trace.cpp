@@ -28,7 +28,14 @@ int current_span_depth() { return t_span_depth; }
 
 int trace_thread_id() { return this_thread_trace_id(); }
 
-TraceCollector::TraceCollector() : epoch_ns_(monotonic_now_ns()) {}
+TraceCollector::TraceCollector()
+    : serial_([] {
+        // Never reused, unlike an address: a collector built where a
+        // destroyed one lived gets its own serial.
+        static std::atomic<std::uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()),
+      epoch_ns_(monotonic_now_ns()) {}
 
 void TraceCollector::start() {
   active_.store(true, std::memory_order_relaxed);
@@ -49,11 +56,13 @@ void TraceCollector::clear() {
 TraceCollector::Buffer& TraceCollector::local_buffer() {
   // One buffer per (collector, thread). The collector keeps a shared_ptr,
   // so buffers outlive their threads and survive until clear()/shutdown.
-  thread_local const TraceCollector* t_owner = nullptr;
+  // The cache is keyed by the collector's serial, not its address: a new
+  // collector at a dead one's address must not inherit its orphan buffer.
+  thread_local std::uint64_t t_owner = 0;
   thread_local std::shared_ptr<Buffer> t_buffer;
-  if (t_owner != this || !t_buffer) {
+  if (t_owner != serial_ || !t_buffer) {
     t_buffer = std::make_shared<Buffer>();
-    t_owner = this;
+    t_owner = serial_;
     const std::lock_guard<std::mutex> lock(mutex_);
     buffers_.push_back(t_buffer);
   }

@@ -103,6 +103,8 @@ class TraceCollector {
 
   [[nodiscard]] Buffer& local_buffer();
 
+  /// Process-unique id keying the per-thread buffer cache.
+  const std::uint64_t serial_;
   std::atomic<bool> active_{false};
   std::atomic<bool> detail_{false};
   std::uint64_t epoch_ns_;

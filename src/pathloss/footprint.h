@@ -25,6 +25,26 @@
 
 namespace magus::pathloss {
 
+/// What one linear-twin pass did: covered (non-NaN) cells converted, and
+/// how many of them libm decided (see linear_twin).
+struct LinearTwinCounts {
+  std::size_t covered = 0;
+  std::size_t exact = 0;
+};
+
+/// The dB -> linear twin of a gain window: linear[i] = 0 where gains[i] is
+/// NaN (uncovered), else exactly static_cast<float>(std::pow(10.0,
+/// double(gains[i]) / 10.0)) — bitwise the libm value. A vector
+/// approximation of 10^y (double-double y·ln10, range reduction by ln 2, a
+/// degree-12 series; relative error below 2^-45) only picks which float
+/// the result rounds to, and only where the approximation lies more than
+/// 2^-40 relative from every float midpoint: both ends of that band round
+/// to one float, and libm's double lies inside it, so libm would round to
+/// the same float. Every other covered lane — inside the band, or with
+/// |y| > 30 — is computed by libm and counted in `exact`.
+LinearTwinCounts linear_twin(const float* gains, float* linear,
+                             std::size_t n);
+
 class SectorFootprint {
  public:
   /// Gains at or below this are treated as "no coverage".
@@ -192,6 +212,9 @@ class SectorFootprint {
  private:
   void apply_floor_and_count();
   void count_borrowed_and_build_linear();
+  /// Fills linear_ from the (floored) gain window through linear_twin and
+  /// sets covered_count_.
+  void build_linear();
 
   std::int32_t grid_cols_ = 0;
   std::int32_t grid_rows_ = 0;
@@ -207,7 +230,8 @@ class SectorFootprint {
   /// caller's (mapped) memory when borrowed, nullptr when empty.
   const float* view_ = nullptr;
   /// 10^(gain/10) per window cell (0 where uncovered), built once at
-  /// construction so every mW sweep replaces pow with a multiply.
+  /// construction by linear_twin — bitwise the libm value — so every mW
+  /// sweep replaces pow with a multiply.
   std::vector<float> linear_;
 };
 

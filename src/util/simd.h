@@ -14,15 +14,16 @@
 // written against this API produces the same bytes at every lane width.
 // That works because the API exposes only exactly-rounded IEEE-754
 // operations (add/sub/mul/div/sqrt/min/max/compare/convert, plus the
-// bit-exact split_exp_d) — one vector lane performs the identical rounding
-// the scalar expression performs — and because the layer deliberately has
-// NO fused multiply-add: the build pins -ffp-contract=off so neither the
-// kernels here nor the scalar fallback contract a*b+c into a single
-// rounding. Transcendentals (pow/log10/atan2) are not reproducible
-// lane-for-lane across libm implementations and are intentionally absent:
-// libm decides every value that is used, and a vector approximation built
-// from these ops may only classify, outside a stated guard band (see
-// DESIGN.md §15).
+// bit-exact split_exp_d and pow2_d) — one vector lane performs the
+// identical rounding the scalar expression performs — and because the
+// layer deliberately has NO fused multiply-add: the build pins
+// -ffp-contract=off so neither the kernels here nor the scalar fallback
+// contract a*b+c into a single rounding. Transcendentals
+// (pow/log10/atan2) are not reproducible lane-for-lane across libm
+// implementations and are intentionally absent: libm decides every value
+// that is used, and a vector approximation built from these ops may only
+// classify, or pick which float a value rounds to, outside a stated guard
+// band (see DESIGN.md §15).
 //
 // Semantics notes (all backends match these exactly):
 //  - min_*/max_*(a, b) return b when a == b or either is NaN (the MINPD /
@@ -272,6 +273,11 @@ inline std::int32_t extract_i(vint a, int lane) {
 inline vdouble iota_d() { return {_mm256_setr_pd(0.0, 1.0, 2.0, 3.0)}; }
 
 namespace detail {
+inline vdouble pow2_parts(vdouble k) {
+  const __m256i bits =
+      _mm256_castpd_si256(_mm256_add_pd(k.v, _mm256_set1_pd(kTwo52PlusBias)));
+  return {_mm256_castsi256_pd(_mm256_slli_epi64(bits, 52))};
+}
 inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
   const __m256i bits = _mm256_castpd_si256(a.v);
   mant.v = _mm256_castsi256_pd(_mm256_or_si256(
@@ -476,6 +482,11 @@ inline std::int32_t extract_i(vint a, int lane) {
 inline vdouble iota_d() { return {_mm_setr_pd(0.0, 1.0)}; }
 
 namespace detail {
+inline vdouble pow2_parts(vdouble k) {
+  const __m128i bits =
+      _mm_castpd_si128(_mm_add_pd(k.v, _mm_set1_pd(kTwo52PlusBias)));
+  return {_mm_castsi128_pd(_mm_slli_epi64(bits, 52))};
+}
 inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
   const __m128i bits = _mm_castpd_si128(a.v);
   mant.v = _mm_castsi128_pd(
@@ -662,6 +673,11 @@ inline vdouble iota_d() {
 }
 
 namespace detail {
+inline vdouble pow2_parts(vdouble k) {
+  const uint64x2_t bits = vreinterpretq_u64_f64(
+      vaddq_f64(k.v, vdupq_n_f64(kTwo52PlusBias)));
+  return {vreinterpretq_f64_u64(vshlq_n_u64(bits, 52))};
+}
 inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
   const uint64x2_t bits = vreinterpretq_u64_f64(a.v);
   mant.v = vreinterpretq_f64_u64(
@@ -785,6 +801,15 @@ inline std::int32_t extract_i(vint a, int) { return a.v; }
 inline vdouble iota_d() { return {0.0}; }
 
 namespace detail {
+inline vdouble pow2_parts(vdouble k) {
+  const double biased = k.v + kTwo52PlusBias;
+  std::uint64_t bits;
+  std::memcpy(&bits, &biased, sizeof bits);
+  bits <<= 52;
+  vdouble out;
+  std::memcpy(&out.v, &bits, sizeof bits);
+  return out;
+}
 inline void exp_split_parts(vdouble a, vdouble& mant, vdouble& expo) {
   std::uint64_t bits;
   std::memcpy(&bits, &a.v, sizeof bits);
@@ -820,5 +845,12 @@ inline ExpSplit split_exp_d(vdouble a) {
             cmp_le_d(a, set1_d(std::numeric_limits<double>::max())));
   return out;
 }
+
+/// pow2_d(k): 2^k exactly, for lanes holding an integer-valued k in
+/// [-1022, 1023] — the inverse of split_exp_d's expo. k + (2^52 + 1023) is
+/// exact there and leaves 1023 + k in the low mantissa bits; shifting the
+/// lane left by 52 moves that into the exponent field and clears the
+/// fraction. Other lanes get an unspecified value.
+inline vdouble pow2_d(vdouble k) { return detail::pow2_parts(k); }
 
 }  // namespace magus::util::simd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -540,6 +541,24 @@ TEST(Trace, ClearDropsBufferedEvents) {
   collector.clear();
   EXPECT_TRUE(collector.events().empty());
   collector.stop();
+}
+
+TEST(Trace, CollectorBuiltWhereADestroyedOneLivedKeepsItsEvents) {
+  // Two collectors built in turn in the same storage: the second must
+  // record into a buffer of its own, not the first one's orphan buffer
+  // cached by this thread.
+  alignas(TraceCollector) unsigned char slot[sizeof(TraceCollector)];
+  for (int round = 0; round < 2; ++round) {
+    auto* collector = new (slot) TraceCollector();
+    collector->start();
+    collector->record(TraceEvent{"a", "cat", 'X', 0.0, 1.0, 0, 0});
+    EXPECT_EQ(collector->events().size(), 1u) << "round " << round;
+    collector->clear();
+    EXPECT_TRUE(collector->events().empty()) << "round " << round;
+    collector->record(TraceEvent{"b", "cat", 'X', 1.0, 1.0, 0, 0});
+    EXPECT_EQ(collector->events().size(), 1u) << "round " << round;
+    collector->~TraceCollector();
+  }
 }
 
 }  // namespace

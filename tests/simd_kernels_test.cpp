@@ -254,6 +254,24 @@ TEST(SimdOps, SplitExpMatchesBitReference) {
   }
 }
 
+TEST(SimdOps, Pow2MatchesLdexpOverItsWholeDomain) {
+  std::vector<double> ks;
+  for (int k = -1022; k <= 1023; ++k) ks.push_back(k);
+  while (ks.size() % static_cast<std::size_t>(K) != 0) ks.push_back(0.0);
+  for (std::size_t i = 0; i < ks.size(); i += K) {
+    const vx::vdouble p = vx::pow2_d(vx::loadu_d(&ks[i]));
+    for (int j = 0; j < K; ++j) {
+      const double k = ks[i + static_cast<std::size_t>(j)];
+      const double want = std::ldexp(1.0, static_cast<int>(k));
+      const double got = vx::extract_d(p, j);
+      std::uint64_t want_bits, got_bits;
+      std::memcpy(&want_bits, &want, sizeof want_bits);
+      std::memcpy(&got_bits, &got, sizeof got_bits);
+      EXPECT_EQ(got_bits, want_bits) << "k=" << k;
+    }
+  }
+}
+
 // ----------------------------------------------------------- row sweeps --
 
 /// Heap-backed GridState slice of `n` cells plus the raw view the sweeps
@@ -397,6 +415,121 @@ TEST(SweepIdentity, RemoveRowMatchesReferenceIncludingRecomputeOrder) {
       EXPECT_EQ(vec_rec, ref_rec) << "n=" << n << " p=" << nan_p;
     }
   }
+}
+
+/// Random row for the mutation sweeps: like random_row, but gains are
+/// whole dB with probability `whole_p`, so sectors at whole-dB powers
+/// often tie at bit-equal rp.
+void random_tie_row(std::mt19937_64& rng, double nan_p, double whole_p,
+                    std::int32_t n, std::vector<float>& gains,
+                    std::vector<float>& linear) {
+  random_row(rng, nan_p, n, gains, linear);
+  std::uniform_real_distribution<double> u{0.0, 1.0};
+  for (std::size_t c = 0; c < gains.size(); ++c) {
+    if (std::isnan(gains[c]) || u(rng) >= whole_p) continue;
+    gains[c] = 8.0f * std::round(gains[c] / 8.0f);  // multiples of 8 dB
+    linear[c] = static_cast<float>(
+        std::pow(10.0, static_cast<double>(gains[c]) / 10.0));
+  }
+}
+
+/// Lays four sectors onto a row (sector s at 36 + 2s dBm, whole dB) in
+/// both states, returning their gain/linear rows.
+void layer_sectors(std::mt19937_64& rng, double nan_p, std::int32_t n,
+                   SweepState& a, SweepState& b,
+                   std::vector<std::vector<float>>& gains,
+                   std::vector<std::vector<float>>& linear) {
+  gains.assign(4, {});
+  linear.assign(4, {});
+  for (net::SectorId s = 0; s < 4; ++s) {
+    const auto k = static_cast<std::size_t>(s);
+    random_tie_row(rng, nan_p, 0.5, n, gains[k], linear[k]);
+    const double power = 36.0 + 2.0 * s;
+    for (SweepState* state : {&a, &b}) {
+      model::sweeps::add_row_reference(state->view(), 2, gains[k].data(),
+                                       linear[k].data(), n, s, power,
+                                       util::dbm_to_mw(power));
+    }
+  }
+}
+
+TEST(SweepIdentity, PowerRowMatchesReferenceForEveryRuleAndResidue) {
+  std::mt19937_64 rng{404};
+  std::vector<std::vector<float>> gains, linear;
+  std::size_t queued = 0;
+  for (const double nan_p : {0.0, 0.3, 1.0}) {
+    for (std::int32_t n = 0; n <= 3 * K + 3; ++n) {
+      for (net::SectorId target = 0; target < 4; ++target) {
+        // Down by 8 dB (ties with the sector 8 dB weaker in power), down
+        // a little, up a little, up by 8 dB.
+        for (const double delta : {-8.0, -1.5, 2.5, 8.0}) {
+          SweepState vec(static_cast<std::size_t>(n) + 4);
+          SweepState ref(static_cast<std::size_t>(n) + 4);
+          layer_sectors(rng, nan_p, n, vec, ref, gains, linear);
+          const auto k = static_cast<std::size_t>(target);
+          const double old_power = 36.0 + 2.0 * target;
+          const double power = old_power + delta;
+          std::vector<geo::GridIndex> vec_rec, ref_rec;
+          model::sweeps::power_row(
+              vec.view(), 2, gains[k].data(), linear[k].data(), n, target,
+              power, util::dbm_to_mw(old_power), util::dbm_to_mw(power),
+              delta < 0.0, /*row_first=*/100, vec_rec);
+          model::sweeps::power_row_reference(
+              ref.view(), 2, gains[k].data(), linear[k].data(), n, target,
+              power, util::dbm_to_mw(old_power), util::dbm_to_mw(power),
+              delta < 0.0, 100, ref_rec);
+          const std::string label =
+              "power n=" + std::to_string(n) + " p=" + std::to_string(nan_p) +
+              " sector " + std::to_string(target) +
+              " delta=" + std::to_string(delta);
+          vec.expect_bitwise_equal(ref, label);
+          EXPECT_EQ(vec_rec, ref_rec) << label;
+          queued += ref_rec.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(queued, 0u);  // the decreasing rules were reached
+}
+
+TEST(SweepIdentity, SwapRowMatchesReferenceForEveryRuleAndResidue) {
+  std::mt19937_64 rng{505};
+  std::vector<std::vector<float>> gains, linear;
+  std::vector<float> new_gains, new_linear;
+  std::size_t queued = 0;
+  for (const double nan_p : {0.0, 0.3, 1.0}) {
+    for (std::int32_t n = 0; n <= 3 * K + 3; ++n) {
+      for (net::SectorId target = 0; target < 4; ++target) {
+        for (const double new_nan_p : {0.0, 0.5, 1.0}) {
+          SweepState vec(static_cast<std::size_t>(n) + 4);
+          SweepState ref(static_cast<std::size_t>(n) + 4);
+          layer_sectors(rng, nan_p, n, vec, ref, gains, linear);
+          const auto k = static_cast<std::size_t>(target);
+          // The new tilt's gains: a fresh draw, so per cell the sector
+          // gets stronger, weaker, ties, appears or disappears.
+          random_tie_row(rng, new_nan_p, 0.5, n, new_gains, new_linear);
+          const double power = 36.0 + 2.0 * target;
+          std::vector<geo::GridIndex> vec_rec, ref_rec;
+          model::sweeps::swap_row(vec.view(), 2, gains[k].data(),
+                                  linear[k].data(), new_gains.data(),
+                                  new_linear.data(), n, target, power,
+                                  util::dbm_to_mw(power), 100, vec_rec);
+          model::sweeps::swap_row_reference(
+              ref.view(), 2, gains[k].data(), linear[k].data(),
+              new_gains.data(), new_linear.data(), n, target, power,
+              util::dbm_to_mw(power), 100, ref_rec);
+          const std::string label =
+              "swap n=" + std::to_string(n) + " p=" + std::to_string(nan_p) +
+              " new p=" + std::to_string(new_nan_p) + " sector " +
+              std::to_string(target);
+          vec.expect_bitwise_equal(ref, label);
+          EXPECT_EQ(vec_rec, ref_rec) << label;
+          queued += ref_rec.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(queued, 0u);
 }
 
 // ------------------------------------------------------------- kernels --
@@ -743,6 +876,186 @@ TEST(PathlossIdentity, FootprintFloorAndLinearMatchScalar) {
     }
     EXPECT_EQ(fp.covered_count(), expect_covered) << "cols=" << cols;
   }
+}
+
+// ---------------------------------------------------------- linear twin --
+
+float libm_linear(float gain) {
+  return static_cast<float>(std::pow(10.0, static_cast<double>(gain) / 10.0));
+}
+
+float float_from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &f, sizeof bits);
+  return bits;
+}
+
+/// True when libm's double 10^(g/10) lies within 2^band relative of a
+/// float rounding midpoint. At band -41 the kernel's approximation (error
+/// < 2^-45) lies within its 2^-40 guard band, so the lane must go to libm;
+/// beyond 2^-39 it lies outside, so the lane must not.
+bool near_float_midpoint(float gain, int band = -41) {
+  const double exact = std::pow(10.0, static_cast<double>(gain) / 10.0);
+  const auto f = static_cast<float>(exact);
+  const float inf = std::numeric_limits<float>::infinity();
+  double nearest = std::numeric_limits<double>::infinity();
+  for (const float other : {std::nextafter(f, -inf), std::nextafter(f, inf)}) {
+    // Two floats' mean is exact in double.
+    const double mid = (static_cast<double>(f) + static_cast<double>(other)) /
+                       2.0;
+    nearest = std::min(nearest, std::fabs(exact - mid));
+  }
+  return nearest < std::ldexp(exact, band);
+}
+
+/// Runs linear_twin over `gains` (in chunks of 4099 cells, so every chunk
+/// ends on a partial block) and expects every lane bitwise equal to libm.
+/// Returns the kernel's counts summed over the chunks.
+pathloss::LinearTwinCounts expect_twin_matches_libm(
+    const std::vector<float>& gains, const std::string& label) {
+  pathloss::LinearTwinCounts total;
+  std::vector<float> linear;
+  constexpr std::size_t kChunk = 4099;
+  for (std::size_t at = 0; at < gains.size(); at += kChunk) {
+    const std::size_t n = std::min(kChunk, gains.size() - at);
+    linear.assign(n + 1, -1.0f);
+    const pathloss::LinearTwinCounts counts =
+        pathloss::linear_twin(gains.data() + at, linear.data(), n);
+    total.covered += counts.covered;
+    total.exact += counts.exact;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = gains[at + i];
+      const float want = std::isnan(g) ? 0.0f : libm_linear(g);
+      if (bits_of(linear[i]) != bits_of(want)) {
+        ADD_FAILURE() << label << ": g=" << g << " (bits " << std::hex
+                      << bits_of(g) << std::dec << ") got " << linear[i]
+                      << " want " << want;
+        return total;
+      }
+    }
+    EXPECT_EQ(linear[n], -1.0f) << label << ": wrote past the end";
+  }
+  return total;
+}
+
+TEST(PathlossIdentity, LinearTwinMatchesLibmOverFullBinadesAndAStride) {
+  // Every float of three binades inside the [-170, +40] dB gain range:
+  // [-128, -64) (typical path gains), [-2, -1) and [16, 32) (antenna
+  // gains near boresight, y on both sides of 0).
+  for (const auto& [lo, hi] : {std::pair{-128.0f, -64.0f},
+                               std::pair{-2.0f, -1.0f},
+                               std::pair{16.0f, 32.0f}}) {
+    std::vector<float> gains;
+    const std::uint32_t a = bits_of(lo);
+    const std::uint32_t b = bits_of(hi);
+    // Negative floats order by descending bit pattern: walk from the
+    // smaller magnitude up.
+    for (std::uint32_t bits = std::min(a, b); bits <= std::max(a, b);
+         ++bits) {
+      const float g = float_from_bits(bits);
+      if (g >= lo && g < hi) gains.push_back(g);
+    }
+    ASSERT_EQ(gains.size(), std::size_t{1} << 23) << lo;
+    const auto counts =
+        expect_twin_matches_libm(gains, "binade " + std::to_string(lo));
+    EXPECT_EQ(counts.covered, gains.size());
+    EXPECT_LT(counts.exact, gains.size() / 1000) << lo;
+  }
+  // The rest of [-170, +40] at a prime stride over the bit patterns, plus
+  // the range ends.
+  std::vector<float> gains = {-170.0f, std::nextafter(-170.0f, 0.0f), -0.0f,
+                              0.0f, 40.0f};
+  for (std::uint32_t bits = 0; bits <= bits_of(40.0f); bits += 997) {
+    gains.push_back(float_from_bits(bits));
+  }
+  for (std::uint32_t bits = bits_of(-0.0f); bits <= bits_of(-170.0f);
+       bits += 997) {
+    gains.push_back(float_from_bits(bits));
+  }
+  const auto counts = expect_twin_matches_libm(gains, "stride");
+  EXPECT_EQ(counts.covered, gains.size());
+  EXPECT_LT(counts.exact, gains.size() / 1000);
+}
+
+TEST(PathlossIdentity, LinearTwinSendsGuardBandAndOutOfRangeLanesToLibm) {
+  // Lanes whose libm value sits within 2^-41 of a float midpoint, found
+  // by scanning a stretch of [-128, -64): the approximation cannot tell
+  // which float they round to, so each must be libm's.
+  std::vector<float> banded;
+  for (std::uint32_t bits = bits_of(-64.0f); banded.size() < 24; ++bits) {
+    ASSERT_LT(bits, bits_of(-128.0f)) << "too few guard-band lanes";
+    const float g = float_from_bits(bits);
+    if (near_float_midpoint(g)) banded.push_back(g);
+  }
+  // Inputs outside |y| <= 30 and infinities: libm too.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> out_of_range = {305.0f, -305.0f, 380.0f, -380.0f,
+                                           inf, -inf};
+  // Every lane position and tail residue: rows of n cells holding one
+  // special lane at each offset, the rest NaN or ordinary gains.
+  std::size_t rows = 0;
+  for (std::size_t n = 1; n <= static_cast<std::size_t>(3 * K + 3); ++n) {
+    for (std::size_t at = 0; at < n; ++at) {
+      for (const std::vector<float>* special :
+           {static_cast<const std::vector<float>*>(&banded), &out_of_range}) {
+        for (const float g : *special) {
+          std::vector<float> row(n, kNaNf);
+          row[at] = g;
+          std::vector<float> linear(n, -1.0f);
+          const auto counts =
+              pathloss::linear_twin(row.data(), linear.data(), n);
+          EXPECT_EQ(counts.covered, 1u);
+          EXPECT_EQ(counts.exact, 1u) << "g=" << g << " n=" << n;
+          for (std::size_t i = 0; i < n; ++i) {
+            const float want = i == at ? libm_linear(g) : 0.0f;
+            EXPECT_EQ(bits_of(linear[i]), bits_of(want))
+                << "g=" << g << " n=" << n << " at=" << at << " i=" << i;
+          }
+          ++rows;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
+}
+
+TEST(PathlossIdentity, LinearExactCellsCounterCountsLibmLanes) {
+  // A footprint whose window holds guard-band lanes, ordinary lanes and
+  // holes: pathloss.linear.cells grows by the covered cells and
+  // pathloss.linear.exact_cells by the lanes libm decided.
+  std::vector<float> window;
+  std::size_t banded = 0;
+  for (std::uint32_t bits = bits_of(-64.0f); banded < 5; ++bits) {
+    const float g = float_from_bits(bits);
+    if (near_float_midpoint(g)) {
+      window.push_back(g);
+      window.push_back(kNaNf);
+      ++banded;
+    }
+  }
+  std::size_t ordinary = 0;
+  for (float g = -100.0f; g < -90.0f; g += 0.37f) {
+    if (near_float_midpoint(g, -39)) continue;
+    window.push_back(g);
+    ++ordinary;
+  }
+  const auto cols = static_cast<std::int32_t>(window.size());
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& cells = registry.counter("pathloss.linear.cells");
+  obs::Counter& exact = registry.counter("pathloss.linear.exact_cells");
+  const std::uint64_t cells_before = cells.value();
+  const std::uint64_t exact_before = exact.value();
+  const pathloss::SectorFootprint fp{cols, 1, 0, 0, cols, 1,
+                                     std::move(window)};
+  EXPECT_EQ(fp.covered_count(), banded + ordinary);
+  EXPECT_EQ(cells.value() - cells_before, banded + ordinary);
+  EXPECT_EQ(exact.value() - exact_before, banded);
 }
 
 }  // namespace
