@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: regular build + tests, a perf smoke of the coverage
-# index against the legacy scan (fails if the index is slower), the
+# Full verification: a dead-module check (every src/ header has an
+# includer outside tests/), regular build + tests, a perf smoke of the
+# coverage index against the legacy scan (fails if the index is slower), the
 # path-loss database tool smoke (generate / info / verify / migrate-v3,
 # and a torn v3 file that migrate-v3 must report, not migrate),
 # the profiler attribution smoke (--profile report invariants), the bench
@@ -23,6 +24,37 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 2)
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
+
+echo "==> Dead-module check: every src/ header has a non-test includer"
+# A header that nothing outside tests/ includes (its own .cpp aside) is a
+# module nothing runs. The one exception is the small-case search oracle,
+# which only tests include by design.
+python3 - <<'EOF'
+import pathlib, re, subprocess, sys
+allowed = {"core/brute_force.h"}
+files = subprocess.run(
+    ["git", "ls-files", "--cached", "--others", "--exclude-standard",
+     "*.h", "*.cpp"], capture_output=True, text=True, check=True
+).stdout.split()
+include = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+includers = {}
+for f in files:
+    if pathlib.Path(f).exists():
+        for target in include.findall(pathlib.Path(f).read_text()):
+            includers.setdefault(target, set()).add(f)
+headers = [f for f in files if f.startswith("src/") and f.endswith(".h")]
+dead = []
+for f in headers:
+    header = f[len("src/"):]
+    users = {u for u in includers.get(header, ())
+             if not u.startswith("tests/") and u != f[:-2] + ".cpp"}
+    if not users and header not in allowed:
+        dead.append(f)
+if dead:
+    sys.exit("dead modules (no includer outside tests/ but their own "
+             ".cpp): " + ", ".join(dead))
+print(f"dead-module check OK: {len(headers)} headers")
+EOF
 
 echo "==> Regular build + tests (RelWithDebInfo)"
 cmake -B build -S . >/dev/null
@@ -47,8 +79,8 @@ metrics = json.load(open(f"{d}/metrics.json"))
 assert metrics["counters"]["evaluator.evals"] > 0, "no evaluator metrics"
 assert any(k.startswith("evaluator.worker.") for k in metrics["counters"]), \
     "no per-worker counters"
-# Joint tuning leaves the indexed tilt planes, so the off-index fallback
-# health counter must be present and nonzero.
+# Joint tuning tilts sectors away from the indexed tilt, so the off-index
+# fallback health counter must be present and nonzero.
 assert metrics["counters"].get("model.kernel.offindex_recomputes", 0) > 0, \
     "no off-index fallback counter"
 # The CQI pass decides nearly every cell without libm: both counters must

@@ -1,6 +1,7 @@
 #include "model/coverage_index.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -11,79 +12,39 @@ namespace magus::model {
 
 namespace {
 
-[[nodiscard]] float quiet_nan() {
-  return std::numeric_limits<float>::quiet_NaN();
+/// An integer whose ascending order is the descending order of `gain` as
+/// float comparison sees it (gain is never NaN): -0 and +0 share a key,
+/// like they compare equal.
+[[nodiscard]] std::uint32_t descending_key(float gain) {
+  const float canonical = gain + 0.0f;  // -0 + 0 is +0
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &canonical, sizeof bits);
+  // A negative float's bits grow as it falls, so they already sort
+  // descending. A positive float's bits grow as it rises, so they are
+  // inverted, with the sign bit set first so every positive key stays below
+  // every negative one.
+  return (bits & 0x80000000u) != 0 ? bits : ~(bits | 0x80000000u);
 }
 
 }  // namespace
 
 CoverageIndex CoverageIndex::build(const net::Network& network,
-                                   pathloss::PathLossProvider& provider,
-                                   const CoverageIndexOptions& options) {
+                                   pathloss::PathLossProvider& provider) {
   MAGUS_TRACE_SPAN("model.index.build", "model");
   const std::uint64_t start_ns = obs::monotonic_now_ns();
-  if (options.tilt_radius < 0) {
-    throw std::invalid_argument("CoverageIndex: tilt_radius must be >= 0");
-  }
 
   CoverageIndex index;
   const auto cells =
       static_cast<std::size_t>(provider.grid().cell_count());
-  const std::size_t sector_count = network.sector_count();
-  const net::Configuration defaults = network.default_configuration();
 
-  // Which (sector, tilt) planes to materialize: every tilt within
-  // tilt_radius of the sector's default tilt, clamped to its antenna
-  // range. The union of these ranges fixes the global plane span.
-  struct SectorTilts {
-    int lo = 0;
-    int hi = -1;  ///< empty range until resolved
-  };
-  std::vector<SectorTilts> tilts(sector_count);
-  int global_lo = std::numeric_limits<int>::max();
-  int global_hi = std::numeric_limits<int>::min();
-  for (const net::Sector& sector : network.sectors()) {
-    const int base = defaults[sector.id].tilt;
-    SectorTilts& t = tilts[static_cast<std::size_t>(sector.id)];
-    t.lo = sector.clamp_tilt(base - options.tilt_radius);
-    t.hi = sector.clamp_tilt(base + options.tilt_radius);
-    global_lo = std::min(global_lo, t.lo);
-    global_hi = std::max(global_hi, t.hi);
-  }
-  if (sector_count == 0) {
-    global_lo = 0;
-    global_hi = -1;
-  }
-  index.tilt_lo_ = global_lo;
-  const int planes = global_hi - global_lo + 1;
-  if (planes > 64) {
-    // sector_planes_ is a 64-bit mask per sector; radius would have to
-    // exceed every real antenna's tilt range to get here.
-    throw std::invalid_argument("CoverageIndex: > 64 tilt planes");
-  }
-
-  // Pass 1: per-cell cover counts. A cell's span holds each covering
-  // sector once, regardless of how many indexed tilts reach it, so counts
-  // use a per-cell "seen this sector" stamp.
+  // Pass 1: per-cell cover counts. A footprint covers each cell at most
+  // once, so a cell's count is its number of covering sectors.
   std::vector<std::uint32_t> count(cells, 0);
-  std::vector<std::int32_t> stamp(cells, -1);
   for (const net::Sector& sector : network.sectors()) {
-    const SectorTilts& t = tilts[static_cast<std::size_t>(sector.id)];
-    for (int tilt = t.lo; tilt <= t.hi; ++tilt) {
-      const pathloss::SectorFootprint& fp =
-          provider.footprint(sector.id, tilt);
-      for (std::int32_t r = 0; r < fp.window_rows(); ++r) {
-        const std::span<const float> line = fp.window_row(r);
-        const auto base = static_cast<std::size_t>(fp.row_first_cell(r));
-        for (std::size_t c = 0; c < line.size(); ++c) {
-          if (std::isnan(line[c])) continue;
-          if (stamp[base + c] != sector.id) {
-            stamp[base + c] = sector.id;
-            ++count[base + c];
-          }
-        }
-      }
-    }
+    provider.footprint(sector.id, kTilt)
+        .for_each_covered([&](geo::GridIndex g, float) {
+          ++count[static_cast<std::size_t>(g)];
+        });
   }
 
   index.row_start_.resize(cells + 1);
@@ -93,113 +54,66 @@ CoverageIndex CoverageIndex::build(const net::Network& network,
     total += count[i];
   }
   index.row_start_[cells] = total;
+  // The SIMD sweeps gather entries with int32 offsets.
+  if (total > static_cast<std::uint32_t>(
+                  std::numeric_limits<std::int32_t>::max())) {
+    throw std::invalid_argument(
+        "CoverageIndex: entries exceed int32 indexing");
+  }
 
   // Pass 2: fill. The outer loop runs sectors in ascending id order and
   // each cell's cursor only moves forward, so every row's sector ids come
-  // out ascending — the property the bit-identity argument needs. A
-  // sector covering a cell at several indexed tilts claims one entry the
-  // first time and records its slot in entry_at so later tilt planes
-  // write their gain into the same column.
+  // out ascending — the property the bit-identity argument needs.
   index.entry_sector_.assign(total, net::kInvalidSector);
-  // One flat slab per domain (dB / linear) so the SIMD sweeps can gather
-  // any plane entry with a single int32 index: plane p starts at
-  // p * plane_stride_. The int32 offset arithmetic needs the whole slab
-  // under 2^31 entries.
-  index.plane_stride_ = total;
-  const std::size_t slab_size = static_cast<std::size_t>(planes) * total;
-  if (slab_size > static_cast<std::size_t>(
-                      std::numeric_limits<std::int32_t>::max())) {
-    throw std::invalid_argument(
-        "CoverageIndex: plane slab exceeds int32 indexing");
-  }
-  index.slab_gain_.assign(slab_size, quiet_nan());
-  index.slab_mw_.assign(slab_size, 0.0f);
-  index.sector_planes_.assign(sector_count, 0);
-
+  index.gain_.assign(total, 0.0f);
+  index.linear_.assign(total, 0.0f);
   std::vector<std::uint32_t> cursor(index.row_start_.begin(),
                                     index.row_start_.end() - 1);
-  std::vector<std::uint32_t> entry_at(cells, 0);
-  std::fill(stamp.begin(), stamp.end(), -1);
   for (const net::Sector& sector : network.sectors()) {
-    const SectorTilts& t = tilts[static_cast<std::size_t>(sector.id)];
-    for (int tilt = t.lo; tilt <= t.hi; ++tilt) {
-      const int p = tilt - global_lo;
-      index.sector_planes_[static_cast<std::size_t>(sector.id)] |=
-          std::uint64_t{1} << p;
-      float* plane =
-          index.slab_gain_.data() + static_cast<std::size_t>(p) * total;
-      float* plane_mw =
-          index.slab_mw_.data() + static_cast<std::size_t>(p) * total;
-      provider.footprint(sector.id, tilt)
-          .for_each_covered_linear(
-              [&](geo::GridIndex g, float gain, float linear) {
-                const auto i = static_cast<std::size_t>(g);
-                if (stamp[i] != sector.id) {
-                  stamp[i] = sector.id;
-                  entry_at[i] = cursor[i]++;
-                  index.entry_sector_[entry_at[i]] = sector.id;
-                }
-                plane[entry_at[i]] = gain;
-                plane_mw[entry_at[i]] = linear;
-              });
-    }
+    provider.footprint(sector.id, kTilt)
+        .for_each_covered_linear(
+            [&](geo::GridIndex g, float gain, float linear) {
+              const std::uint32_t e = cursor[static_cast<std::size_t>(g)]++;
+              index.entry_sector_[e] = sector.id;
+              index.gain_[e] = gain;
+              index.linear_[e] = linear;
+            });
   }
 
-  index.plane_ptr_.resize(static_cast<std::size_t>(planes));
-  index.plane_mw_ptr_.resize(static_cast<std::size_t>(planes));
-  for (int p = 0; p < planes; ++p) {
-    const std::size_t off = static_cast<std::size_t>(p) * total;
-    index.plane_ptr_[static_cast<std::size_t>(p)] =
-        index.slab_gain_.data() + off;
-    index.plane_mw_ptr_[static_cast<std::size_t>(p)] =
-        index.slab_mw_.data() + off;
-  }
-
-  // Ranked layout: each row's entries reordered by descending bound (the
-  // sector's best gain at the cell over its built planes), sector id
-  // ascending on ties. The bound is what lets a top-2 scan stop early:
-  // power_cap + bound majorizes every received power the entry can offer.
+  // Ranked layout: each row's entries reordered by descending gain, sector
+  // id ascending on ties. The gain is what lets a top-2 scan stop early:
+  // power_cap + gain majorizes every received power the entry can offer.
+  // Each entry sorts as one integer, (descending_key(gain) << 32) | k for
+  // the k-th entry of its row: k ascends with the sector id, so integer
+  // order is exactly that order.
   index.ranked_sector_.assign(total, net::kInvalidSector);
   index.ranked_col_.assign(total, 0);
   index.ranked_bound_.assign(total, 0.0f);
-  {
-    std::vector<std::uint32_t> order;
-    std::vector<float> bound(total, -std::numeric_limits<float>::infinity());
-    for (std::uint32_t e = 0; e < total; ++e) {
-      for (int p = 0; p < planes; ++p) {
-        const float g =
-            index.slab_gain_[static_cast<std::size_t>(p) * total + e];
-        if (!std::isnan(g)) bound[e] = std::max(bound[e], g);
-      }
+  std::vector<std::uint64_t> order;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const std::uint32_t first = index.row_start_[i];
+    const std::uint32_t size = index.row_start_[i + 1] - first;
+    order.clear();
+    for (std::uint32_t k = 0; k < size; ++k) {
+      order.push_back(
+          (std::uint64_t{descending_key(index.gain_[first + k])} << 32) | k);
     }
-    for (std::size_t i = 0; i < cells; ++i) {
-      const std::uint32_t first = index.row_start_[i];
-      const std::uint32_t size = index.row_start_[i + 1] - first;
-      order.resize(size);
-      for (std::uint32_t k = 0; k < size; ++k) order[k] = first + k;
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  if (bound[a] != bound[b]) return bound[a] > bound[b];
-                  return index.entry_sector_[a] < index.entry_sector_[b];
-                });
-      for (std::uint32_t k = 0; k < size; ++k) {
-        index.ranked_sector_[first + k] = index.entry_sector_[order[k]];
-        index.ranked_col_[first + k] = order[k];
-        index.ranked_bound_[first + k] = bound[order[k]];
-      }
+    std::sort(order.begin(), order.end());
+    for (std::uint32_t k = 0; k < size; ++k) {
+      const std::uint32_t e = first + static_cast<std::uint32_t>(order[k]);
+      index.ranked_sector_[first + k] = index.entry_sector_[e];
+      index.ranked_col_[first + k] = e;
+      index.ranked_bound_[first + k] = index.gain_[e];
     }
   }
 
   index.bytes_ = index.row_start_.capacity() * sizeof(std::uint32_t) +
                  index.entry_sector_.capacity() * sizeof(std::int32_t) +
-                 index.sector_planes_.capacity() * sizeof(std::uint64_t) +
-                 index.plane_ptr_.capacity() * sizeof(const float*) +
-                 index.plane_mw_ptr_.capacity() * sizeof(const float*) +
                  index.ranked_sector_.capacity() * sizeof(std::int32_t) +
                  index.ranked_col_.capacity() * sizeof(std::uint32_t) +
                  index.ranked_bound_.capacity() * sizeof(float) +
-                 index.slab_gain_.capacity() * sizeof(float) +
-                 index.slab_mw_.capacity() * sizeof(float);
+                 index.gain_.capacity() * sizeof(float) +
+                 index.linear_.capacity() * sizeof(float);
 
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& builds = registry.counter("model.index.builds");
@@ -212,7 +126,6 @@ CoverageIndex CoverageIndex::build(const net::Network& network,
       .set(static_cast<double>(index.bytes_));
   registry.gauge("model.index.entries")
       .set(static_cast<double>(index.entry_count()));
-  registry.gauge("model.index.planes").set(static_cast<double>(planes));
   return index;
 }
 

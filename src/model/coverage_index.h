@@ -5,20 +5,17 @@
 // ideal for applying one sector's contribution to every cell it covers, but
 // the model's demotion path (EvalContext::recompute_top2) asks the inverse
 // question per cell and previously had to probe every sector's window. This
-// index inverts the footprints once into a CSR layout over grid cells:
+// index inverts each sector's default-tilt footprint (kTilt) once into a CSR
+// layout over grid cells:
 //
 //   row_start_[g] .. row_start_[g+1]   the cell's cover span
 //   entry_sector_[e]                   covering sector ids, ascending per row
-//   plane_gain_[p][e]                  gain_db at tilt plane p (NaN where the
-//                                      sector does not cover the cell at
-//                                      that tilt), parallel to entry_sector_
+//   gain_[e] / linear_[e]              the sector's gain at the cell, dB and
+//                                      its 10^(gain/10) twin
 //
-// One gain plane per tilt setting keeps tilt changes O(1) per entry: the
-// span membership is the union of coverage over every indexed tilt, so a
-// tilt swap only changes which plane a scan reads, never the span itself.
-// Sectors whose current tilt is not indexed (a plane that was never built)
-// are detected via a per-sector plane bitmask and handled by the caller
-// with the legacy footprint probe.
+// Every entry is a covered cell, so no gain is ever NaN. A sector whose
+// current tilt is not kTilt is invisible to the index; the caller probes
+// its footprint directly instead.
 //
 // Entries are stored in ascending sector id per row, which keeps the layout
 // deterministic. No floating-point accumulation runs in that order: every
@@ -31,9 +28,7 @@
 // EvalContext clone (the same contract as the rest of MarketContext).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "geo/grid_map.h"
@@ -43,24 +38,16 @@
 
 namespace magus::model {
 
-struct CoverageIndexOptions {
-  /// Tilt planes to materialize per sector: every tilt within this many
-  /// steps of the sector's default-configuration tilt, clamped to the
-  /// antenna range. 0 (the default) indexes only the default tilt, which
-  /// costs no extra footprint builds — those matrices are materialized by
-  /// the model's first rebuild anyway. Larger radii pre-build the extra
-  /// footprints eagerly, which pays off for long tilt-heavy searches.
-  int tilt_radius = 0;
-};
-
 class CoverageIndex {
  public:
-  /// Builds the index from the provider's footprints (driver thread only).
-  /// `network` and `provider` must outlive nothing here — all gains are
-  /// copied into the index.
+  /// The one tilt the index holds: every sector's tilt in
+  /// net::Network::default_configuration.
+  static constexpr radio::TiltIndex kTilt = 0;
+
+  /// Builds the index from the provider's kTilt footprints (driver thread
+  /// only). All gains are copied into the index.
   [[nodiscard]] static CoverageIndex build(
-      const net::Network& network, pathloss::PathLossProvider& provider,
-      const CoverageIndexOptions& options = {});
+      const net::Network& network, pathloss::PathLossProvider& provider);
 
   [[nodiscard]] std::int32_t cell_count() const {
     return static_cast<std::int32_t>(row_start_.size()) - 1;
@@ -68,18 +55,9 @@ class CoverageIndex {
   [[nodiscard]] std::size_t entry_count() const {
     return entry_sector_.size();
   }
-  /// Number of tilt planes spanned (built or not); plane p holds tilt
-  /// tilt_lo() + p.
-  [[nodiscard]] int plane_count() const {
-    return static_cast<int>(plane_ptr_.size());
-  }
-  [[nodiscard]] int tilt_lo() const { return tilt_lo_; }
-  [[nodiscard]] int tilt_hi() const {
-    return tilt_lo_ + plane_count() - 1;
-  }
 
   /// The cover span of one cell. `first` is the global entry offset of the
-  /// row, so gain lookups are plane[first + k] for the k-th sector.
+  /// row, so gain lookups are gains()[first + k] for the k-th sector.
   struct Row {
     const std::int32_t* sectors = nullptr;
     std::uint32_t first = 0;
@@ -91,82 +69,25 @@ class CoverageIndex {
     return {entry_sector_.data() + first, first, row_start_[i + 1] - first};
   }
 
-  /// True when (sector, tilt) was materialized into a plane. A false
-  /// return means the index knows nothing about that combination and the
-  /// caller must fall back to probing the footprint directly.
-  [[nodiscard]] bool sector_tilt_indexed(net::SectorId sector,
-                                         int tilt) const {
-    const int p = tilt - tilt_lo_;
-    if (p < 0 || p >= plane_count()) return false;
-    return ((sector_planes_[static_cast<std::size_t>(sector)] >> p) & 1u) !=
-           0;
-  }
+  /// True when a sector at `tilt` is served by the index; a false return
+  /// means the caller must probe that sector's footprint directly.
+  [[nodiscard]] static bool tilt_indexed(int tilt) { return tilt == kTilt; }
 
-  /// Gain plane for (sector, tilt): a pointer indexable by global entry
-  /// offset, or nullptr when that combination is not indexed. NaN entries
-  /// mean "covered at some indexed tilt, but not this one".
-  [[nodiscard]] const float* plane_gains(net::SectorId sector,
-                                         int tilt) const {
-    const int p = tilt - tilt_lo_;
-    if (p < 0 || p >= plane_count() ||
-        ((sector_planes_[static_cast<std::size_t>(sector)] >> p) & 1u) ==
-            0) {
-      return nullptr;
-    }
-    return plane_ptr_[static_cast<std::size_t>(p)];
-  }
+  /// dB gain per global entry offset.
+  [[nodiscard]] const float* gains() const { return gain_.data(); }
+  /// Linear twin of gains(): 10^(gain/10) per entry, copied bit-for-bit
+  /// from the footprints' precomputed linear windows, so recompute_top2
+  /// re-forms a winner's mW contribution with a multiply instead of pow,
+  /// bit-equal to what the sector-major sweeps added.
+  [[nodiscard]] const float* linear() const { return linear_.data(); }
 
-  /// Linear twin of plane_gains: 10^(gain/10) per entry (0 where the dB
-  /// plane is NaN), copied bit-for-bit from the footprints' precomputed
-  /// linear windows, so recompute_top2 re-forms a winner's mW contribution
-  /// with a multiply instead of pow, bit-equal to what the sector-major
-  /// sweeps added.
-  [[nodiscard]] const float* plane_linear(net::SectorId sector,
-                                          int tilt) const {
-    const int p = tilt - tilt_lo_;
-    if (p < 0 || p >= plane_count() ||
-        ((sector_planes_[static_cast<std::size_t>(sector)] >> p) & 1u) ==
-            0) {
-      return nullptr;
-    }
-    return plane_mw_ptr_[static_cast<std::size_t>(p)];
-  }
-
-  /// The gain planes as one contiguous slab: plane p occupies
-  /// [p * plane_stride(), (p+1) * plane_stride()), indexed by global entry
-  /// offset within the plane. The SIMD sweeps gather from these with a
-  /// single int32 index (plane_slab_offset(sector, tilt) + entry), which is
-  /// why the planes are flattened instead of separately allocated.
-  [[nodiscard]] const float* slab_gains() const { return slab_gain_.data(); }
-  /// Linear twin of slab_gains (same layout, 10^(gain/10), 0 where NaN).
-  [[nodiscard]] const float* slab_linear() const { return slab_mw_.data(); }
-  [[nodiscard]] std::size_t plane_stride() const { return plane_stride_; }
-
-  /// Offset of (sector, tilt)'s plane into the slabs — add the global entry
-  /// offset to index slab_gains()/slab_linear() — or -1 when that
-  /// combination is not indexed. Fits int32 by construction (build()
-  /// rejects slabs past 2^31 entries).
-  [[nodiscard]] std::int32_t plane_slab_offset(net::SectorId sector,
-                                               int tilt) const {
-    const int p = tilt - tilt_lo_;
-    if (p < 0 || p >= plane_count() ||
-        ((sector_planes_[static_cast<std::size_t>(sector)] >> p) & 1u) ==
-            0) {
-      return -1;
-    }
-    return static_cast<std::int32_t>(static_cast<std::size_t>(p) *
-                                     plane_stride_);
-  }
-
-  /// The cover span of one cell reordered by descending gain bound: entry
-  /// k's bound is the sector's strongest gain at this cell across its
-  /// built planes, so power_cap + bounds[k] bounds every received power
-  /// from entry k onward. A top-2 scan may stop at the first k whose
-  /// bound falls strictly below the current runner-up — top-2 under a
-  /// strict total order is enumeration-order independent, so the early
-  /// exit returns exactly the full scan's result. cols[k] is the global
-  /// entry offset for plane lookups (ties in the bound order by ascending
-  /// sector id, keeping the layout deterministic).
+  /// The cover span of one cell reordered by descending gain, sector id
+  /// ascending on ties: power_cap + bounds[k] bounds every received power
+  /// from entry k onward. A top-2 scan may stop at the first k whose bound
+  /// falls strictly below the current runner-up — top-2 under a strict
+  /// total order is enumeration-order independent, so the early exit
+  /// returns exactly the full scan's result. bounds[k] is the entry's gain,
+  /// gains()[cols[k]]; cols[k] is its global entry offset.
   struct RankedRow {
     const std::int32_t* sectors = nullptr;
     const std::uint32_t* cols = nullptr;
@@ -181,8 +102,8 @@ class CoverageIndex {
   }
 
   /// Raw CSR / ranked arrays for the SIMD sweeps' gathers. All row offsets
-  /// and entry counts fit int32 (the slab guard bounds total entries), so
-  /// the uint32 arrays may be reinterpreted as int32 lanes.
+  /// and entry counts fit int32 (build() rejects more entries), so the
+  /// uint32 arrays may be reinterpreted as int32 lanes.
   [[nodiscard]] const std::uint32_t* row_starts() const {
     return row_start_.data();
   }
@@ -205,18 +126,13 @@ class CoverageIndex {
 
   std::vector<std::uint32_t> row_start_;    ///< cells + 1
   std::vector<std::int32_t> entry_sector_;  ///< ascending per row
-  std::vector<float> slab_gain_;  ///< [plane * stride + entry], dB
-  std::vector<float> slab_mw_;    ///< [plane * stride + entry], linear
-  std::size_t plane_stride_ = 0;  ///< entries per plane (== entry_count())
-  std::vector<const float*> plane_ptr_;     ///< dB plane data (into slab)
-  std::vector<const float*> plane_mw_ptr_;  ///< linear plane data (into slab)
-  std::vector<std::uint64_t> sector_planes_;  ///< built-plane bitmask
+  std::vector<float> gain_;                 ///< per entry, dB
+  std::vector<float> linear_;               ///< per entry, linear
   // Ranked layout (see ranked_row): per-row permutation of the CSR span by
-  // descending max-plane gain, sector id ascending on ties.
+  // descending gain, sector id ascending on ties.
   std::vector<std::int32_t> ranked_sector_;
   std::vector<std::uint32_t> ranked_col_;
   std::vector<float> ranked_bound_;
-  int tilt_lo_ = 0;
   std::size_t bytes_ = 0;
 };
 

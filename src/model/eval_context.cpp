@@ -29,9 +29,9 @@ namespace {
 }
 
 /// Cells re-ranked through recompute_top2's footprint fallback (index
-/// bound, some active sector at an unindexed tilt): the health counter for
-/// searches that keep leaving the indexed tilt planes. Added once per
-/// mutation, like model.kernel.recompute_cells.
+/// bound, some active sector away from the indexed tilt): the health
+/// counter for searches that keep tilting sectors off the index. Added
+/// once per mutation, like model.kernel.recompute_cells.
 [[nodiscard]] obs::Counter& offindex_recomputes() {
   static obs::Counter& counter = obs::MetricsRegistry::global().counter(
       "model.kernel.offindex_recomputes");
@@ -70,9 +70,7 @@ void EvalContext::sync_index_bookkeeping() {
   // noise next to the O(cells) state copies on every code path that calls
   // this, and it keeps the span scans free of Configuration/index gathers.
   const std::size_t sector_count = network().sector_count();
-  active_plane_.assign(sector_count, nullptr);
-  active_plane_mw_.assign(sector_count, nullptr);
-  active_plane_off_.assign(sector_count, -1);
+  on_index_.assign(sector_count, 0);
   if (sector_power_.size() != sector_count) {
     // NaN sentinel compares unequal to every real power, forcing the first
     // plin fill below.
@@ -91,15 +89,11 @@ void EvalContext::sync_index_bookkeeping() {
       sector_plin_[s] = util::dbm_to_mw(setting.power_dbm);
     }
     if (!setting.active) continue;
-    const float* gains = index_->plane_gains(sector.id, setting.tilt);
-    if (gains == nullptr) {
-      off_index_sectors_.push_back(sector.id);
-    } else {
-      active_plane_[s] = gains;
-      active_plane_mw_[s] = index_->plane_linear(sector.id, setting.tilt);
-      active_plane_off_[s] =
-          index_->plane_slab_offset(sector.id, setting.tilt);
+    if (CoverageIndex::tilt_indexed(setting.tilt)) {
+      on_index_[s] = 1;
       cap = std::max(cap, setting.power_dbm);
+    } else {
+      off_index_sectors_.push_back(sector.id);
     }
   }
   power_cap_ = cap;
@@ -224,7 +218,7 @@ void EvalContext::recompute_top2(geo::GridIndex g) {
   // (best, second) bit-for-bit.
   // kFootprintCol marks a winner offered from a footprint probe (fallback
   // or unbound path) rather than an index entry; the mW factor then comes
-  // from the footprint's linear window instead of the plane array.
+  // from the footprint's linear window instead of the index's.
   constexpr std::uint32_t kFootprintCol =
       std::numeric_limits<std::uint32_t>::max();
   net::SectorId best = net::kInvalidSector;
@@ -245,37 +239,35 @@ void EvalContext::recompute_top2(geo::GridIndex g) {
     }
   };
   if (index_ != nullptr) {
-    // Ranked scan with early exit: entries arrive in descending gain-bound
+    // Ranked scan with early exit: entries arrive in descending gain
     // order, and power_cap_ + bounds[k] majorizes every received power
     // from entry k on. Once that bound falls strictly below the current
     // runner-up nothing later can enter the top-2, so the scan stops —
     // typically after a handful of entries. float rounding is monotone, so
     // comparing the float-rounded bound keeps the exit exact: any later
     // rp rounds to at most the rounded bound, which is < second_rp.
-    // active_plane_[s] == nullptr folds "inactive" and "off-index" into
-    // one branch; the fallback pass below covers the off-index sectors.
+    // on_index_[s] == 0 folds "inactive" and "off-index" into one branch;
+    // the fallback pass below covers the off-index sectors.
     const CoverageIndex::RankedRow row = index_->ranked_row(g);
-    const float* const* plane = active_plane_.data();
+    const float* gains = index_->gains();
+    const std::int32_t* on_index = on_index_.data();
     const double* power = sector_power_.data();
     const double cap = power_cap_;
     for (std::uint32_t k = 0; k < row.size; ++k) {
       if (static_cast<float>(cap + row.bounds[k]) < second_rp) break;
-      const net::SectorId s = row.sectors[k];
-      const float* gains = plane[static_cast<std::size_t>(s)];
-      if (gains == nullptr) continue;
-      const float gain = gains[row.cols[k]];
-      if (std::isnan(gain)) continue;  // uncovered at the current tilt
-      offer(s, static_cast<float>(power[static_cast<std::size_t>(s)] + gain),
+      const auto s = static_cast<std::size_t>(row.sectors[k]);
+      if (on_index[s] == 0) continue;
+      offer(row.sectors[k], static_cast<float>(power[s] + gains[row.cols[k]]),
             row.cols[k]);
     }
-    // Sectors at unindexed tilts are invisible to the span scan; probe
-    // their footprints directly. Every path that changes a sector's
+    // Sectors away from the indexed tilt are invisible to the span scan;
+    // probe their footprints directly. Every path that changes a sector's
     // activity or tilt resyncs the list before it can recompute, so the
     // list is never missing a sector here; the loop still re-checks both
     // predicates, so a stale extra entry would be skipped, not offered.
     for (const net::SectorId s : off_index_sectors_) {
       const auto& setting = config_[s];
-      if (!setting.active || index_->sector_tilt_indexed(s, setting.tilt)) {
+      if (!setting.active || CoverageIndex::tilt_indexed(setting.tilt)) {
         continue;
       }
       const auto& fp = footprint_of(s);
@@ -308,8 +300,7 @@ void EvalContext::recompute_top2(geo::GridIndex g) {
                              : util::dbm_to_mw(config_[best].power_dbm);
     const double lin =
         best_col != kFootprintCol
-            ? static_cast<double>(
-                  active_plane_mw_[b][best_col])
+            ? static_cast<double>(index_->linear()[best_col])
             : static_cast<double>(footprint_of(best).linear_gain(g));
     best_mw = p_lin * lin;
   }
@@ -338,9 +329,9 @@ void EvalContext::recompute_top2_batch(
   const auto* rcol =
       reinterpret_cast<const std::int32_t*>(index_->ranked_cols());
   const float* rbound = index_->ranked_bounds();
-  const float* slab_gain = index_->slab_gains();
-  const float* slab_lin = index_->slab_linear();
-  const std::int32_t* poff = active_plane_off_.data();
+  const float* gains = index_->gains();
+  const float* linear = index_->linear();
+  const std::int32_t* on_index = on_index_.data();
   const double* power = sector_power_.data();
   const float qnan = std::numeric_limits<float>::quiet_NaN();
   const vx::vdouble vcap = vx::set1_d(power_cap_);
@@ -369,15 +360,13 @@ void EvalContext::recompute_top2_batch(
       if (!vx::any(live)) break;
       const vx::vint s = vx::gather_i(rsec, e, live, 0);
       const vx::vint col = vx::gather_i(rcol, e, live, 0);
-      const vx::vint off = vx::gather_i(poff, s, live, -1);
-      const vx::fmask has =
-          vx::m_and(live, vx::cmp_gt_i(off, vx::set1_i(-1)));
-      const vx::vint sl = vx::add_i(off, col);
-      const vx::vfloat gain = vx::gather_f(slab_gain, sl, has, qnan);
+      const vx::vint on = vx::gather_i(on_index, s, live, 0);
+      const vx::fmask has = vx::m_and(live, vx::cmp_gt_i(on, vx::set1_i(0)));
+      const vx::vfloat gain = vx::gather_f(gains, col, has, qnan);
       const vx::vdouble pw = vx::gather_d(power, s, vx::widen(has), 0.0);
       const vx::vfloat rp =
           vx::to_float(vx::add_d(pw, vx::to_double(gain)));
-      const vx::vfloat linf = vx::gather_f(slab_lin, sl, has, 0.0f);
+      const vx::vfloat linf = vx::gather_f(linear, col, has, 0.0f);
       const vx::fmask bb =
           vx::m_or(vx::cmp_gt_f(rp, brp),
                    vx::m_and(vx::cmp_eq_f(rp, brp), vx::cmp_gt_i(bid, s)));
@@ -396,7 +385,7 @@ void EvalContext::recompute_top2_batch(
           cells[static_cast<std::size_t>(idx + j)]);
       const net::SectorId b = vx::extract_i(bid, j);
       // Re-form the winner's exact contribution from the plin mirror and
-      // the same slab float the accumulation used (see recompute_top2).
+      // the same linear float the accumulation used (see recompute_top2).
       double best_mw = 0.0;
       if (b != net::kInvalidSector) {
         best_mw = sector_plin_[static_cast<std::size_t>(b)] *
@@ -464,7 +453,7 @@ void EvalContext::set_active(net::SectorId sector, bool active) {
   if (setting.active == active) return;
   setting.active = active;
   // Mirrors must reflect the flip before the sweep: remove_contribution's
-  // recompute_top2 calls read active_plane_ to skip the demoted sector.
+  // recompute_top2 calls read on_index_ to skip the demoted sector.
   sync_index_bookkeeping();
   const auto& fp = footprint_of(sector);
   if (active) {
@@ -485,7 +474,7 @@ void EvalContext::set_tilt(net::SectorId sector, int tilt_index) {
   setting.tilt = clamped;
   current_footprint_[static_cast<std::size_t>(sector)] = &new_fp;
   // Mirrors first: a re-rank queued by the sweep must see the sector at
-  // its new tilt (its new plane, or the off-index list).
+  // its new tilt (on the index, or on the off-index list).
   sync_index_bookkeeping();
   if (setting.active) swap_contribution(sector, old_fp, new_fp);
 }

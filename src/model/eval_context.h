@@ -132,10 +132,10 @@ class EvalContext {
   /// first (MarketContext::ensure_coverage_index). A context starts
   /// unbound and stays bound once bound; clones inherit the binding. When
   /// bound, recompute_top2 scans the cell's ranked cover span instead of
-  /// probing every active sector, and sectors at tilts outside the indexed
-  /// planes fall back to direct footprint probes. Results are bit-identical
-  /// bound or unbound; full rebuilds run the same sector-major sweep
-  /// either way.
+  /// probing every active sector, and sectors away from the indexed tilt
+  /// (CoverageIndex::kTilt) fall back to direct footprint probes. Results
+  /// are bit-identical bound or unbound; full rebuilds run the same
+  /// sector-major sweep either way.
   void bind_coverage_index();
   [[nodiscard]] bool coverage_index_bound() const {
     return index_ != nullptr;
@@ -164,7 +164,7 @@ class EvalContext {
 
  private:
   void rebuild();
-  /// Re-collects the active sectors whose tilt has no index plane
+  /// Re-collects the active sectors away from the indexed tilt
   /// (off_index_sectors_), which force recompute_top2 onto the
   /// footprint-probe fallback, and refreshes the per-sector mirrors below.
   void sync_index_bookkeeping();
@@ -211,23 +211,21 @@ class EvalContext {
   /// The market's shared coverage index, or nullptr until
   /// bind_coverage_index (the unbound all-sectors scan is in effect).
   const CoverageIndex* index_ = nullptr;
-  /// Ids of the active sectors whose current tilt has no index plane, in
-  /// ascending order (empty on the pure fast path; maintained by
+  /// Ids of the active sectors whose current tilt is not the indexed one,
+  /// in ascending order (empty on the pure fast path; maintained by
   /// sync_index_bookkeeping). recompute_top2's footprint fallback visits
   /// only these, so its cost is O(active off-index sectors) per cell.
   std::vector<net::SectorId> off_index_sectors_;
   /// Per-sector mirrors so the span scans touch flat arrays instead of
-  /// gathering from Configuration + index lookups per entry:
-  /// active_plane_[s] is the dB gain plane of s's current tilt when s is
-  /// active and on-index, nullptr otherwise (one branch folds the active
-  /// check, the tilt lookup and the off-index case); active_plane_mw_[s]
-  /// is its linear twin; sector_power_[s] mirrors config_[s].power_dbm.
-  /// power_cap_ bounds every active on-index sector's power
-  /// (conservatively stale-high after a power decrease) —
-  /// recompute_top2's ranked early exit relies on it. All kept in sync by
-  /// sync_index_bookkeeping + the set_power fast update.
-  std::vector<const float*> active_plane_;
-  std::vector<const float*> active_plane_mw_;
+  /// gathering from Configuration per entry: on_index_[s] is 1 when s is
+  /// active and at the indexed tilt, 0 otherwise (one flag folds the
+  /// active check and the off-index case; int32 so the SIMD sweeps gather
+  /// it); sector_power_[s] mirrors config_[s].power_dbm. power_cap_
+  /// bounds every active on-index sector's power (conservatively
+  /// stale-high after a power decrease) — recompute_top2's ranked early
+  /// exit relies on it. All kept in sync by sync_index_bookkeeping + the
+  /// set_power fast update.
+  std::vector<std::int32_t> on_index_;
   std::vector<double> sector_power_;
   /// dbm_to_mw(sector_power_[s]) cached per sector so the hot sweeps
   /// multiply instead of calling pow. Refreshed lazily by
@@ -235,10 +233,6 @@ class EvalContext {
   /// changed) and by set_power; dbm_to_mw is deterministic, so the cached
   /// product is bit-identical to recomputing it.
   std::vector<double> sector_plin_;
-  /// Slab offset of s's active gain/linear plane
-  /// (CoverageIndex::plane_slab_offset), or -1 when active_plane_[s] is
-  /// nullptr — the int32 the SIMD sweeps gather instead of the pointer.
-  std::vector<std::int32_t> active_plane_off_;
   double power_cap_ = 0.0;
   /// Reusable re-rank list for the mutation sweeps (avoids a heap
   /// allocation per incremental mutation).

@@ -25,10 +25,9 @@ void MarketContext::set_ue_density(std::vector<double> density) {
   ue_density_ = std::move(density);
 }
 
-void MarketContext::build_coverage_index(
-    const CoverageIndexOptions& options) {
+void MarketContext::build_coverage_index() {
   index_ = std::make_unique<CoverageIndex>(
-      CoverageIndex::build(*network_, *provider_, options));
+      CoverageIndex::build(*network_, *provider_));
 }
 
 void MarketContext::ensure_coverage_index() {

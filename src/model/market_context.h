@@ -62,12 +62,12 @@ class MarketContext {
 
   // ---- Grid-major inverted coverage index (see coverage_index.h) ----
 
-  /// Builds (or rebuilds, e.g. with a wider tilt radius) the coverage
-  /// index. Driver-thread only; must not race with parallel evaluation —
-  /// EvalContexts hold raw pointers into the index, so rebuild only while
-  /// no context has it bound (ParallelEvaluator builds it up front).
-  void build_coverage_index(const CoverageIndexOptions& options = {});
-  /// Builds the index with default options iff it does not exist yet.
+  /// Builds (or rebuilds) the coverage index. Driver-thread only; must not
+  /// race with parallel evaluation — EvalContexts hold raw pointers into
+  /// the index, so rebuild only while no context has it bound
+  /// (ParallelEvaluator builds it up front).
+  void build_coverage_index();
+  /// Builds the index iff it does not exist yet.
   void ensure_coverage_index();
   /// The shared index, or nullptr before the first build.
   [[nodiscard]] const CoverageIndex* coverage_index() const {

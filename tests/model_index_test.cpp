@@ -1,9 +1,9 @@
 // Coverage-index correctness: the CSR inverted index must be an exact
-// transposition of the per-sector footprints (entry-for-entry, every
-// indexed tilt plane), the ranked layout an exact permutation of each
-// row, and the index-backed eval paths bit-identical to the legacy
-// all-sector probes on arbitrary mutation sequences — including the
-// off-index tilt fallback and cells no sector covers at all.
+// transposition of the per-sector default-tilt footprints
+// (entry-for-entry), the ranked layout an exact permutation of each row,
+// and the index-backed eval paths bit-identical to the legacy all-sector
+// probes on arbitrary mutation sequences — including the off-index tilt
+// fallback and cells no sector covers at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,73 +49,65 @@ void expect_states_bitwise_equal(const EvalContext& indexed,
 
 TEST(CoverageIndex, CsrMatchesFootprintsEntryForEntry) {
   LineWorld world{12, 8.0};
-  const CoverageIndex index = CoverageIndex::build(
-      world.network, *world.provider, CoverageIndexOptions{.tilt_radius = 1});
+  const CoverageIndex index =
+      CoverageIndex::build(world.network, *world.provider);
 
   ASSERT_EQ(index.cell_count(), 12);
   EXPECT_GT(index.entry_count(), 0u);
   EXPECT_GT(index.index_bytes(), 0u);
-  EXPECT_LE(index.tilt_lo(), -1);
-  EXPECT_GE(index.tilt_hi(), 1);
+  EXPECT_TRUE(CoverageIndex::tilt_indexed(CoverageIndex::kTilt));
+  EXPECT_FALSE(CoverageIndex::tilt_indexed(CoverageIndex::kTilt + 1));
 
   // Every row lists its covering sectors in strictly ascending id order
-  // (the property the bit-identity argument rests on).
+  // (the property the bit-identity argument rests on), and no entry is
+  // NaN: every entry is a cell its sector covers.
   for (geo::GridIndex g = 0; g < index.cell_count(); ++g) {
     const CoverageIndex::Row row = index.row(g);
-    for (std::uint32_t k = 1; k < row.size; ++k) {
-      EXPECT_LT(row.sectors[k - 1], row.sectors[k]) << "cell " << g;
-    }
-  }
-
-  for (const net::SectorId s : {world.west, world.east}) {
-    for (int tilt = index.tilt_lo(); tilt <= index.tilt_hi(); ++tilt) {
-      if (!index.sector_tilt_indexed(s, tilt)) continue;
-      const float* gains = index.plane_gains(s, tilt);
-      const float* linear = index.plane_linear(s, tilt);
-      ASSERT_NE(gains, nullptr);
-      ASSERT_NE(linear, nullptr);
-      const auto& fp = world.provider->footprint(
-          s, static_cast<radio::TiltIndex>(tilt));
-
-      // Forward: every covered cell of the footprint appears in the
-      // cell's span with the exact same dB and linear values.
-      fp.for_each_covered_linear([&](geo::GridIndex g, float gain_db,
-                                     float gain_linear) {
-        const CoverageIndex::Row row = index.row(g);
-        const auto* end = row.sectors + row.size;
-        const auto* it = std::lower_bound(row.sectors, end, s);
-        ASSERT_TRUE(it != end && *it == s)
-            << "sector " << s << " missing from cell " << g;
-        const auto e = row.first + static_cast<std::uint32_t>(it - row.sectors);
-        EXPECT_EQ(gains[e], gain_db) << "cell " << g << " tilt " << tilt;
-        EXPECT_EQ(linear[e], gain_linear) << "cell " << g << " tilt " << tilt;
-      });
-
-      // Converse: every non-NaN plane entry for this sector is a cell the
-      // footprint really covers, with the same gain; NaN entries are
-      // covered at some other tilt but not this one.
-      for (geo::GridIndex g = 0; g < index.cell_count(); ++g) {
-        const CoverageIndex::Row row = index.row(g);
-        for (std::uint32_t k = 0; k < row.size; ++k) {
-          if (row.sectors[k] != s) continue;
-          const float v = gains[row.first + k];
-          if (std::isnan(v)) {
-            EXPECT_FALSE(fp.covers(g)) << "cell " << g << " tilt " << tilt;
-          } else {
-            ASSERT_TRUE(fp.covers(g)) << "cell " << g << " tilt " << tilt;
-            EXPECT_EQ(v, fp.gain_db(g));
-          }
-        }
+    for (std::uint32_t k = 0; k < row.size; ++k) {
+      EXPECT_FALSE(std::isnan(index.gains()[row.first + k])) << "cell " << g;
+      if (k > 0) {
+        EXPECT_LT(row.sectors[k - 1], row.sectors[k]) << "cell " << g;
       }
     }
   }
+
+  std::size_t covered = 0;
+  for (const net::SectorId s : {world.west, world.east}) {
+    const auto& fp = world.provider->footprint(s, CoverageIndex::kTilt);
+    covered += fp.covered_count();
+
+    // Forward: every covered cell of the footprint appears in the cell's
+    // span with the exact same dB and linear values.
+    fp.for_each_covered_linear([&](geo::GridIndex g, float gain_db,
+                                   float gain_linear) {
+      const CoverageIndex::Row row = index.row(g);
+      const auto* end = row.sectors + row.size;
+      const auto* it = std::lower_bound(row.sectors, end, s);
+      ASSERT_TRUE(it != end && *it == s)
+          << "sector " << s << " missing from cell " << g;
+      const auto e = row.first + static_cast<std::uint32_t>(it - row.sectors);
+      EXPECT_EQ(index.gains()[e], gain_db) << "cell " << g;
+      EXPECT_EQ(index.linear()[e], gain_linear) << "cell " << g;
+    });
+
+    // Converse: every entry for this sector is a cell the footprint really
+    // covers, with the same gain.
+    for (geo::GridIndex g = 0; g < index.cell_count(); ++g) {
+      const CoverageIndex::Row row = index.row(g);
+      for (std::uint32_t k = 0; k < row.size; ++k) {
+        if (row.sectors[k] != s) continue;
+        ASSERT_TRUE(fp.covers(g)) << "cell " << g;
+        EXPECT_EQ(index.gains()[row.first + k], fp.gain_db(g));
+      }
+    }
+  }
+  EXPECT_EQ(index.entry_count(), covered);
 }
 
-TEST(CoverageIndex, RankedRowsArePermutationsInDescendingBoundOrder) {
-  LineWorld world{12, 8.0};
-  const CoverageIndex index = CoverageIndex::build(
-      world.network, *world.provider, CoverageIndexOptions{.tilt_radius = 1});
-
+/// Every ranked row must be a permutation of its CSR row in descending
+/// bound order, ascending sector id on exact ties, each bound the entry's
+/// own gain.
+void expect_ranked_rows_in_bound_order(const CoverageIndex& index) {
   for (geo::GridIndex g = 0; g < index.cell_count(); ++g) {
     const CoverageIndex::Row row = index.row(g);
     const CoverageIndex::RankedRow ranked = index.ranked_row(g);
@@ -133,15 +125,9 @@ TEST(CoverageIndex, RankedRowsArePermutationsInDescendingBoundOrder) {
       ASSERT_LT(ranked.cols[k], row.first + row.size);
       EXPECT_EQ(row.sectors[ranked.cols[k] - row.first], ranked.sectors[k]);
 
-      // bounds[k] is the sector's strongest gain across its built planes.
-      float expect_bound = -std::numeric_limits<float>::infinity();
-      for (int tilt = index.tilt_lo(); tilt <= index.tilt_hi(); ++tilt) {
-        const float* gains = index.plane_gains(ranked.sectors[k], tilt);
-        if (gains == nullptr) continue;
-        const float v = gains[ranked.cols[k]];
-        if (!std::isnan(v)) expect_bound = std::max(expect_bound, v);
-      }
-      EXPECT_EQ(ranked.bounds[k], expect_bound) << "cell " << g;
+      // bounds[k] is the entry's own gain.
+      EXPECT_EQ(ranked.bounds[k], index.gains()[ranked.cols[k]])
+          << "cell " << g;
 
       if (k > 0) {
         // Descending bound; ascending sector id on exact ties.
@@ -154,31 +140,96 @@ TEST(CoverageIndex, RankedRowsArePermutationsInDescendingBoundOrder) {
   }
 }
 
+TEST(CoverageIndex, RankedRowsArePermutationsInDescendingBoundOrder) {
+  LineWorld world{12, 8.0};
+  expect_ranked_rows_in_bound_order(
+      CoverageIndex::build(world.network, *world.provider));
+
+  data::Experiment experiment{magus::testing::small_market_params()};
+  expect_ranked_rows_in_bound_order(CoverageIndex::build(
+      experiment.network(), experiment.model().market_context().provider()));
+}
+
+TEST(CoverageIndex, RankedRowsBreakExactTiesBySectorId) {
+  // Four sectors over three cells. Cell 0: +0 and -0 dB, which compare
+  // equal; cell 1: one gain for all; cell 2: a tie below a distinct best.
+  geo::GridMap grid{geo::Rect{{0.0, 0.0}, {300.0, 100.0}}, 100.0};
+  FakeProvider provider{grid};
+  net::Network network;
+  net::Sector sector;
+  sector.antenna.min_tilt_index = 0;
+  sector.antenna.max_tilt_index = 0;
+  const std::vector<std::vector<float>> gains = {{0.0f, -70.0f, -80.0f},
+                                                 {-0.0f, -70.0f, -60.0f},
+                                                 {0.0f, -70.0f, -70.0f},
+                                                 {-0.0f, -70.0f, -60.0f}};
+  for (int s = 0; s < 4; ++s) {
+    sector.site = s;
+    sector.position = {50.0 + 50.0 * s, 50.0};
+    const net::SectorId id = network.add_sector(sector);
+    provider.set_footprint(id, 0, gains[static_cast<std::size_t>(s)]);
+  }
+  const CoverageIndex index = CoverageIndex::build(network, provider);
+  const auto order = [&](geo::GridIndex g) {
+    const CoverageIndex::RankedRow ranked = index.ranked_row(g);
+    return std::vector<net::SectorId>(ranked.sectors,
+                                      ranked.sectors + ranked.size);
+  };
+  EXPECT_EQ(order(0), (std::vector<net::SectorId>{0, 1, 2, 3}));
+  EXPECT_EQ(order(1), (std::vector<net::SectorId>{0, 1, 2, 3}));
+  EXPECT_EQ(order(2), (std::vector<net::SectorId>{1, 3, 2, 0}));
+  expect_ranked_rows_in_bound_order(index);
+}
+
+/// Cells the bound context re-ranked over a script: in all, and through
+/// the off-index footprint fallback. The rest went through the pure index
+/// path (the batched ranked scan).
+struct Reranks {
+  std::uint64_t cells = 0;
+  std::uint64_t offindex = 0;
+};
+
 /// Drives a bound and an unbound context over `model`'s market through a
-/// seeded mix of power, tilt, activity and set_configuration steps on
-/// `sectors`, comparing the two states bitwise after every step. Both
-/// contexts run the same sector-major full rebuild, so the comparison
-/// covers the bound incremental paths (span scan, off-index fallback)
-/// against the unbound all-sectors scan. Each set_configuration step jumps
-/// both to a configuration visited earlier in the sequence, so the bound
-/// context's off-index list and mirrors must be rebuilt, not carried over.
-/// The market's index must already be built.
-void run_randomized_index_vs_legacy(AnalysisModel& model,
-                                    const std::vector<net::SectorId>& sectors,
-                                    const std::string& world) {
+/// seeded mix of power, tilt (drawn from `tilts`), activity and
+/// set_configuration steps on `sectors`, comparing the two states bitwise
+/// after every step. Both contexts run the same sector-major full rebuild,
+/// so the comparison covers the bound incremental paths (span scan,
+/// off-index fallback) against the unbound all-sectors scan. Each
+/// set_configuration step jumps both to a configuration visited earlier in
+/// the sequence, so the bound context's off-index list and mirrors must be
+/// rebuilt, not carried over. The market's index must already be built.
+Reranks run_randomized_index_vs_legacy(
+    AnalysisModel& model, const std::vector<net::SectorId>& sectors,
+    const std::vector<int>& tilts, const std::string& world) {
+  obs::Counter& cells = obs::MetricsRegistry::global().counter(
+      "model.kernel.recompute_cells");
+  obs::Counter& offindex = obs::MetricsRegistry::global().counter(
+      "model.kernel.offindex_recomputes");
+  Reranks reranks;
   for (const std::uint64_t seed : {11ull, 123ull, 777ull}) {
     EvalContext indexed{&model.market_context()};
     indexed.bind_coverage_index();
     EvalContext legacy{&model.market_context()};
-    ASSERT_TRUE(indexed.coverage_index_bound());
-    ASSERT_FALSE(legacy.coverage_index_bound());
+    EXPECT_TRUE(indexed.coverage_index_bound());
+    EXPECT_FALSE(legacy.coverage_index_bound());
+    // Applies one step to both contexts, counting only the bound one's
+    // re-ranks.
+    const auto both = [&](auto&& op) {
+      const std::uint64_t cells_before = cells.value();
+      const std::uint64_t offindex_before = offindex.value();
+      op(indexed);
+      reranks.cells += cells.value() - cells_before;
+      reranks.offindex += offindex.value() - offindex_before;
+      op(legacy);
+    };
 
     std::mt19937_64 rng{seed};
     std::uniform_int_distribution<int> op_dist{0, 3};
     std::uniform_int_distribution<int> sector_dist{
         0, static_cast<int>(sectors.size()) - 1};
     std::uniform_real_distribution<double> power_dist{18.0, 48.0};
-    std::uniform_int_distribution<int> tilt_dist{-2, 2};
+    std::uniform_int_distribution<std::size_t> tilt_dist{0,
+                                                         tilts.size() - 1};
 
     const std::string tag = world + " seed " + std::to_string(seed);
     std::vector<net::Configuration> visited;
@@ -189,28 +240,24 @@ void run_randomized_index_vs_legacy(AnalysisModel& model,
       switch (op_dist(rng)) {
         case 0: {
           const double p = power_dist(rng);
-          indexed.set_power(sector, p);
-          legacy.set_power(sector, p);
+          both([&](EvalContext& c) { c.set_power(sector, p); });
           break;
         }
         case 1: {
-          const int t = tilt_dist(rng);
-          indexed.set_tilt(sector, t);
-          legacy.set_tilt(sector, t);
+          const int t = tilts[tilt_dist(rng)];
+          both([&](EvalContext& c) { c.set_tilt(sector, t); });
           break;
         }
         case 2: {
           const bool active = !indexed.configuration()[sector].active;
-          indexed.set_active(sector, active);
-          legacy.set_active(sector, active);
+          both([&](EvalContext& c) { c.set_active(sector, active); });
           break;
         }
         default: {
           std::uniform_int_distribution<std::size_t> pick{
               0, visited.size() - 1};
           const net::Configuration earlier = visited[pick(rng)];
-          indexed.set_configuration(earlier);
-          legacy.set_configuration(earlier);
+          both([&](EvalContext& c) { c.set_configuration(earlier); });
           break;
         }
       }
@@ -218,49 +265,62 @@ void run_randomized_index_vs_legacy(AnalysisModel& model,
           indexed, legacy, tag + " step " + std::to_string(step));
     }
   }
+  return reranks;
 }
 
-/// The two-sector LineWorld strip with its index built at `tilt_radius`.
-void run_randomized_line_world(int tilt_radius) {
+/// Every tilt from -2 to 2: the indexed tilt 0 and the off-index rest.
+const std::vector<int> kMixedTilts = {-2, -1, 0, 1, 2};
+/// Every tilt from -2 to 2 but the indexed one.
+const std::vector<int> kOffIndexTilts = {-2, -1, 1, 2};
+
+/// The randomized script on the two-sector LineWorld strip.
+Reranks run_randomized_line_world(const std::vector<int>& tilts,
+                                  const std::string& label) {
   LineWorld world{12, 8.0};
   AnalysisModel model{&world.network, world.provider.get()};
-  model.market_context().build_coverage_index(
-      CoverageIndexOptions{.tilt_radius = tilt_radius});
-  run_randomized_index_vs_legacy(model, {world.west, world.east},
-                                 "line world radius " +
-                                     std::to_string(tilt_radius));
+  model.market_context().build_coverage_index();
+  return run_randomized_index_vs_legacy(model, {world.west, world.east},
+                                        tilts, "line world " + label);
 }
 
 TEST(CoverageIndex, RandomizedMutationsMatchLegacyBitForBit) {
-  // Radius 1: tilt swaps stay on indexed planes (pure span-scan paths).
-  run_randomized_line_world(1);
+  // Tilt moves both leave the indexed tilt and come back to it, so the
+  // bound context re-ranks through the batched span scan and through the
+  // footprint fallback.
+  const Reranks reranks = run_randomized_line_world(kMixedTilts, "mixed");
+  EXPECT_GT(reranks.offindex, 0u);
+  EXPECT_GT(reranks.cells - reranks.offindex, 0u);
 }
 
 TEST(CoverageIndex, OffIndexTiltsFallBackToFootprintsBitForBit) {
-  // Radius 0: only the default tilt is indexed, so every tilt mutation
-  // pushes a sector off-index and recompute must merge the span scan with
-  // direct footprint probes.
-  run_randomized_line_world(0);
+  // Every tilt move pushes a sector off-index, so recompute must merge the
+  // span scan with direct footprint probes; only activity flips and jumps
+  // back to an earlier configuration return a sector to the index.
+  const Reranks reranks =
+      run_randomized_line_world(kOffIndexTilts, "off-index");
+  EXPECT_GT(reranks.offindex, 0u);
 }
 
 TEST(CoverageIndex, GeneratedMarketMixedMutationsMatchLegacy) {
   // The same randomized script on a generated market, over the six
   // sectors nearest the study centre: overlapping footprints, co-sited
   // sectors and cells at the grid edge that the strip never produces.
-  // Radius 1 keeps most tilt moves on indexed planes; radius 0 sends
-  // every one of them through the footprint fallback.
+  // The mixed tilt draw keeps some tilt moves on the indexed tilt; the
+  // off-index draw sends every one of them through the footprint
+  // fallback.
   data::Experiment experiment{magus::testing::small_market_params()};
   AnalysisModel& model = experiment.model();
   const auto sectors = experiment.network().nearest_sectors(
       experiment.study_area().center(), 6);
   ASSERT_EQ(sectors.size(), 6u);
-  for (const int tilt_radius : {1, 0}) {
-    model.market_context().build_coverage_index(
-        CoverageIndexOptions{.tilt_radius = tilt_radius});
-    run_randomized_index_vs_legacy(
-        model, sectors,
-        "generated market radius " + std::to_string(tilt_radius));
-  }
+  model.market_context().build_coverage_index();
+  const Reranks mixed = run_randomized_index_vs_legacy(
+      model, sectors, kMixedTilts, "generated market mixed");
+  EXPECT_GT(mixed.offindex, 0u);
+  EXPECT_GT(mixed.cells - mixed.offindex, 0u);
+  const Reranks off = run_randomized_index_vs_legacy(
+      model, sectors, kOffIndexTilts, "generated market off-index");
+  EXPECT_GT(off.offindex, 0u);
 }
 
 /// Two sectors on a 6-cell strip with a dead cell in the middle and
@@ -344,9 +404,7 @@ TEST(CoverageIndex, OffIndexSectorListTracksActivityTiltAndRestore) {
   data::Experiment experiment{magus::testing::small_market_params()};
   AnalysisModel& model = experiment.model();
   model.freeze_uniform_ue_density();
-  model.market_context().build_coverage_index(
-      CoverageIndexOptions{.tilt_radius = 0});
-  const CoverageIndex& index = *model.market_context().coverage_index();
+  model.market_context().build_coverage_index();
 
   EvalContext indexed{&model.market_context()};
   indexed.bind_coverage_index();
@@ -367,7 +425,7 @@ TEST(CoverageIndex, OffIndexSectorListTracksActivityTiltAndRestore) {
     const int next = meta.clamp_tilt(tilt + 1) != tilt ? tilt + 1 : tilt - 1;
     indexed.set_tilt(s, next);
     legacy.set_tilt(s, next);
-    ASSERT_FALSE(index.sector_tilt_indexed(s, tilt_of(s)));
+    ASSERT_FALSE(CoverageIndex::tilt_indexed(tilt_of(s)));
     expect_states_bitwise_equal(indexed, legacy,
                                 "off-index " + std::to_string(s));
   };

@@ -168,14 +168,12 @@ void tally(const EvalContext& ctx, net::SectorId sector, RuleTally& t) {
   }
 }
 
-/// Runs the seeded script over `world` with the index built at
-/// `tilt_radius` (0: only tilt 0 is indexed, so every other tilt is off
-/// the index; 1: tilts -1..1 indexed, ±2 off it).
-void run_script(GridWorld& world, int tilt_radius, std::uint64_t seed,
-                int steps, RuleTally& tallied) {
+/// Runs the seeded script over `world`. The index holds tilt 0 only, so
+/// every other tilt takes a sector off the index.
+void run_script(GridWorld& world, std::uint64_t seed, int steps,
+                RuleTally& tallied) {
   AnalysisModel model{&world.network, world.provider.get()};
-  model.market_context().build_coverage_index(
-      CoverageIndexOptions{.tilt_radius = tilt_radius});
+  model.market_context().build_coverage_index();
   EvalContext bound{&model.market_context()};
   bound.bind_coverage_index();
   EvalContext unbound{&model.market_context()};
@@ -196,8 +194,7 @@ void run_script(GridWorld& world, int tilt_radius, std::uint64_t seed,
   std::vector<EvalContext::Snapshot> bound_snaps;
   std::vector<EvalContext::Snapshot> unbound_snaps;
   std::vector<EvalContext::Snapshot> three_snaps;
-  const std::string tag = "radius " + std::to_string(tilt_radius) +
-                          " seed " + std::to_string(seed);
+  const std::string tag = "seed " + std::to_string(seed);
   for (int step = 0; step < steps; ++step) {
     const auto sector = static_cast<net::SectorId>(pick_sector(rng));
     const int kind = op(rng);
@@ -252,17 +249,22 @@ void run_script(GridWorld& world, int tilt_radius, std::uint64_t seed,
 
 TEST(MutationSweep, RandomScriptsMatchRebuildAndTheThreeStepTilt) {
   RuleTally tallied;
+  // Only bound contexts count off-index re-ranks: the scripts must reach
+  // the footprint fallback, not only the span scan.
+  obs::Counter& offindex = obs::MetricsRegistry::global().counter(
+      "model.kernel.offindex_recomputes");
+  const std::uint64_t offindex_before = offindex.value();
   for (const std::uint64_t seed : {3ull, 41ull, 977ull}) {
     // 13 columns: row segments of every length mod the lane width.
     GridWorld world{seed, 13, 7, 5};
-    for (const int radius : {1, 0}) {
-      ASSERT_NO_FATAL_FAILURE(
-          run_script(world, radius, seed * 10 + radius, 150, tallied));
+    for (const std::uint64_t script : {seed * 10 + 1, seed * 10}) {
+      ASSERT_NO_FATAL_FAILURE(run_script(world, script, 150, tallied));
     }
   }
   EXPECT_GT(tallied.best, 0u);
   EXPECT_GT(tallied.second, 0u);
   EXPECT_GT(tallied.neither, 0u);
+  EXPECT_GT(offindex.value(), offindex_before);
 }
 
 TEST(MutationSweep, DisjointAndNestedTiltWindowsMatchTheThreeStepPath) {
@@ -271,8 +273,7 @@ TEST(MutationSweep, DisjointAndNestedTiltWindowsMatchTheThreeStepPath) {
   // it runs remove-only and add-only rows and a gap between two windows.
   GridWorld world{5, 17, 9, 5};
   AnalysisModel model{&world.network, world.provider.get()};
-  model.market_context().build_coverage_index(
-      CoverageIndexOptions{.tilt_radius = 1});
+  model.market_context().build_coverage_index();
   EvalContext bound{&model.market_context()};
   bound.bind_coverage_index();
   EvalContext three_step{&model.market_context()};
@@ -295,8 +296,7 @@ TEST(MutationSweep, TiltReranksOnlyWhereTheSectorLostItsPlace) {
   // sweep must queue strictly fewer cells than the remove step did.
   GridWorld world{8, 13, 7, 5};
   AnalysisModel model{&world.network, world.provider.get()};
-  model.market_context().build_coverage_index(
-      CoverageIndexOptions{.tilt_radius = 2});
+  model.market_context().build_coverage_index();
   EvalContext ctx{&model.market_context()};
   ctx.bind_coverage_index();
   obs::Counter& reranked = obs::MetricsRegistry::global().counter(
