@@ -25,6 +25,12 @@
 // settle) must stay at or under the budget line — streaming residency is
 // a memory knob, never a results knob.
 //
+// Part 1 also times the coverage index both ways on that file: built from
+// the (already touched) tilt-0 footprints, and bound from the file's
+// stored section — a fresh open, the section's checksum and structure
+// check, and the zero-copy bind — and reports the section's size and the
+// file growth it costs. The bound arrays must equal the built ones.
+//
 // --json writes the committed BENCH_streaming.json baseline.
 #include <chrono>
 #include <cstdio>
@@ -34,6 +40,7 @@
 
 #include "bench_common.h"
 #include "fleet/wave_planner.h"
+#include "model/coverage_index.h"
 #include "obs/profiler.h"
 #include "pathloss/builder.h"
 #include "pathloss/database.h"
@@ -181,6 +188,42 @@ int main(int argc, char** argv) {
   const double speedup_cold_open = wall_load / wall_open_mapped;
   const bool cold_open_ge_5x = speedup_cold_open >= 5.0;
 
+  // The coverage index, built (the tilt-0 footprints are touched above,
+  // as a model's construction touches them) vs bound from the section.
+  const pathloss::PathLossDatabase::Probe probe =
+      pathloss::PathLossDatabase::probe(v3_path);
+  std::size_t probed_bytes = 0;
+  const std::uint64_t planes_end =
+      pathloss::format::read_v3(v3_path, probed_bytes).planes_end;
+  const std::size_t index_section_bytes = probe.index_section_bytes;
+  const std::size_t file_growth_bytes = v3_bytes - planes_end;
+  const double wall_index_build = mean_of([&] {
+    const model::CoverageIndex index =
+        model::CoverageIndex::build(experiment.network(), mapped);
+    if (index.entry_count() == 0) std::abort();
+  });
+  const double wall_index_bind = mean_of([&] {
+    pathloss::MappedPathLossDatabase fresh{v3_path};
+    const pathloss::format::IndexSection* section = fresh.coverage_section();
+    if (section == nullptr ||
+        !model::CoverageIndex::binds_to(*section, experiment.network())) {
+      std::abort();
+    }
+    const model::CoverageIndex index = model::CoverageIndex::bind(*section);
+    if (index.entry_count() == 0) std::abort();
+  });
+  bool index_bind_identical = false;
+  {
+    const model::CoverageIndex built =
+        model::CoverageIndex::build(experiment.network(), mapped);
+    pathloss::MappedPathLossDatabase fresh{v3_path};
+    const model::CoverageIndex bound =
+        model::CoverageIndex::bind(*fresh.coverage_section());
+    index_bind_identical =
+        pathloss::format::same_arrays(built.arrays(), bound.arrays()) &&
+        built.index_bytes() == bound.index_bytes();
+  }
+
   util::TablePrinter open_table({"path", "wall (s)", "speedup vs load"});
   open_table.add_row(
       {"eager load", util::TablePrinter::num(wall_load, 5), "1.00"});
@@ -203,7 +246,15 @@ int main(int argc, char** argv) {
             << "cold-open speedup " << util::TablePrinter::num(
                    speedup_cold_open, 1)
             << "x (gate >= 5x): " << (cold_open_ge_5x ? "PASS" : "FAIL")
-            << "\n\n";
+            << '\n'
+            << "coverage index: build "
+            << util::TablePrinter::num(wall_index_build * 1e3, 2)
+            << " ms vs open + check + bind "
+            << util::TablePrinter::num(wall_index_bind * 1e3, 2)
+            << " ms; section " << index_section_bytes / 1024
+            << " KiB, file growth " << file_growth_bytes / 1024
+            << " KiB; bound == built: "
+            << (index_bind_identical ? "yes" : "NO") << "\n\n";
   std::remove(v3_path.c_str());
 
   // ---- Part 2: fleet budget sweep ----
@@ -314,6 +365,13 @@ int main(int argc, char** argv) {
     summary.set("tilts", static_cast<std::int64_t>(tilts.size()));
     summary.set("matrices", static_cast<std::int64_t>(matrices));
     summary.set("file_bytes_v3", static_cast<std::int64_t>(v3_bytes));
+    summary.set("index_section_bytes",
+                static_cast<std::int64_t>(index_section_bytes));
+    summary.set("file_growth_bytes",
+                static_cast<std::int64_t>(file_growth_bytes));
+    summary.set("wall_s_index_build", wall_index_build);
+    summary.set("wall_s_index_bind", wall_index_bind);
+    summary.set("index_bind_identical", index_bind_identical);
     summary.set("wall_s_load", wall_load);
     summary.set("wall_s_open_mapped", wall_open_mapped);
     summary.set("wall_s_first_touch_all", wall_first_touch);
@@ -347,7 +405,8 @@ int main(int argc, char** argv) {
   }
 
   return (cold_open_ge_5x && mapped_equals_eager && identical_after_release &&
-          plans_identical && under_budget && floor_below_peak)
+          index_bind_identical && plans_identical && under_budget &&
+          floor_below_peak)
              ? 0
              : 1;
 }

@@ -5,15 +5,17 @@
 //
 //   generate:   build the matrices for a market (all sectors, chosen tilt
 //               range) and save them in the v3 page-aligned format,
-//   info:       print a database file's inventory from its header +
-//               directory alone — no gain bytes are read,
-//   migrate-v3: rewrite a file in the retired v2 stream format as v3 (the
-//               zero-copy format MappedPathLossDatabase opens in O(dir));
-//               a file that is already v3 is left alone, and a damaged
-//               v3 file is reported with the open's error (exit 1),
+//   info:       print a database file's inventory from its header,
+//               directory and coverage-index section header alone — no
+//               gain bytes are read,
 //   verify:     open a database through the mmap provider and check it
 //               against a freshly built one; every checked matrix also
-//               passes its first-touch checksum.
+//               passes its first-touch checksum, and the coverage-index
+//               section passes its checks and equals the index built from
+//               the file's own footprints, array for array.
+//
+// A file of an older format version does not open; regenerate it from its
+// seed with --mode generate.
 //
 // generate fans the per-sector builds and the save's checksums across
 // --threads workers; the resulting file is byte-identical for any thread
@@ -21,18 +23,16 @@
 //
 //   $ pathloss_db_tool --mode generate --db market.mpl [--tilts 2]
 //   $ pathloss_db_tool --mode info --db market.mpl
-//   $ pathloss_db_tool --mode migrate-v3 --db market.mpl [--out market3.mpl]
 //   $ pathloss_db_tool --mode verify --db market.mpl
 #include <cmath>
-#include <filesystem>
 #include <iostream>
 #include <vector>
 
 #include "data/experiment.h"
+#include "model/coverage_index.h"
 #include "obs/session.h"
 #include "pathloss/database.h"
 #include "pathloss/mapped_database.h"
-#include "pathloss/v2_reader.h"
 #include "util/args.h"
 #include "util/table.h"
 
@@ -72,11 +72,9 @@ magus::pathloss::PathLossDatabase build_database(
 int main(int argc, char** argv) {
   using namespace magus;
 
-  util::ArgParser args{"Generate / inspect / migrate / verify path-loss "
-                       "databases"};
-  args.add_flag("mode", "generate", "generate | info | migrate-v3 | verify");
+  util::ArgParser args{"Generate / inspect / verify path-loss databases"};
+  args.add_flag("mode", "generate", "generate | info | verify");
   args.add_flag("db", "market.mpl", "database path");
-  args.add_flag("out", "", "migrate-v3 output path (default: --db in place)");
   args.add_flag("seed", "17", "market generation seed");
   args.add_flag("region-km", "9", "analysis region edge in km");
   args.add_flag("tilts", "1", "tilt settings on each side of 0");
@@ -128,30 +126,15 @@ int main(int argc, char** argv) {
                 << " KiB (mapped open: " << probe.mapped_bytes_estimate / 1024
                 << " KiB file-backed + " << probe.heap_bytes_estimate / 1024
                 << " KiB heap at full touch)\n";
-      return 0;
-    }
-
-    if (mode == "migrate-v3") {
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (probe.ok) {
-        std::cout << path << " is already v3; nothing to do\n";
-        return 0;
+      if (probe.index_section_bytes == 0) {
+        std::cout << "  coverage index: none (the model builds it)\n";
+      } else {
+        const pathloss::format::IndexHeader& index = probe.index_header;
+        std::cout << "  coverage index: " << probe.index_section_bytes / 1024
+                  << " KiB at offset " << probe.index_offset << ", "
+                  << index.cells << " cells, " << index.entries
+                  << " entries over " << index.sectors << " sectors\n";
       }
-      // Only an older format is migrated; a damaged v3 file (or no
-      // database at all) is reported as the probe found it.
-      if (probe.version == 0 ||
-          probe.version >= pathloss::format::kVersionMapped) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 1;
-      }
-      const auto db = pathloss::read_v2(path);
-      std::string out = args.get_string("out");
-      if (out.empty()) out = path;
-      db.save(out, threads);
-      std::cout << "Migrated " << db.entry_count() << " matrices: " << path
-                << " (v2) -> " << out << " (v3, "
-                << std::filesystem::file_size(out) / 1024 << " KiB)\n";
       return 0;
     }
 
@@ -182,7 +165,28 @@ int main(int argc, char** argv) {
       }
       std::cout << "Verified " << checked << " tilt-0 matrices against a "
                 << "fresh build: " << mismatches << " mismatches\n";
-      return mismatches == 0 ? 0 : 2;
+      // The stored index must pass its checks and equal the one built from
+      // the file's own tilt-0 footprints.
+      bool index_equal = true;
+      if (const pathloss::format::IndexSection* stored =
+              db.coverage_section()) {
+        std::vector<net::SectorId> sectors;
+        std::vector<const pathloss::SectorFootprint*> footprints;
+        for (const auto& [sector, tilt] : db.keys()) {
+          if (tilt != model::CoverageIndex::kTilt) continue;
+          sectors.push_back(sector);
+          footprints.push_back(&db.footprint(sector, tilt));
+        }
+        const model::CoverageIndex built = model::CoverageIndex::build(
+            sectors, footprints, db.grid().cols(), db.grid().rows());
+        index_equal = pathloss::format::same_arrays(*stored, built.arrays());
+        std::cout << "Coverage index: checked, "
+                  << (index_equal ? "equals" : "DIFFERS FROM")
+                  << " the index built from the file\n";
+      } else {
+        std::cout << "Coverage index: none stored\n";
+      }
+      return mismatches == 0 && index_equal ? 0 : 2;
     }
 
     std::cerr << "unknown --mode " << mode << '\n';

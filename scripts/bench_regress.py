@@ -118,8 +118,14 @@ SPECS = {
         "sectors": "eq",
         "tilts": "eq",
         "matrices": "eq",
-        # The file size is deterministic for fixed geometry.
+        # The file size is deterministic for fixed geometry, and so is
+        # the coverage-index section it carries.
         "file_bytes_v3": "eq",
+        "index_section_bytes": "eq",
+        "file_growth_bytes": "eq",
+        "wall_s_index_build": "time",
+        "wall_s_index_bind": "time",
+        "index_bind_identical": "true",
         "wall_s_load": "time",
         "wall_s_open_mapped": "time",
         "wall_s_first_touch_all": "time",

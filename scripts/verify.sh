@@ -2,8 +2,9 @@
 # Full verification: a dead-module check (every src/ header has an
 # includer outside tests/), regular build + tests, a perf smoke of the
 # coverage index against the legacy scan (fails if the index is slower), the
-# path-loss database tool smoke (generate / info / verify / migrate-v3,
-# and a torn v3 file that migrate-v3 must report, not migrate),
+# path-loss database tool smoke (generate / info / verify, the stored
+# coverage index checked and equal to a fresh build, and a torn v3 file
+# that verify must report),
 # the profiler attribution smoke (--profile report invariants), the bench
 # regression gate (bench_regress.py self-test, plus a full re-run diffed
 # against the committed BENCH_*.json baselines in the non-fast pass), the
@@ -56,8 +57,8 @@ if dead:
 print(f"dead-module check OK: {len(headers)} headers")
 EOF
 
-echo "==> Regular build + tests (RelWithDebInfo)"
-cmake -B build -S . >/dev/null
+echo "==> Regular build + tests (RelWithDebInfo, warnings are errors)"
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$jobs"
 ctest_args=()
 (( fast )) && ctest_args+=(-LE slow)
@@ -224,33 +225,32 @@ print(f"streaming smoke OK: cold open {s['speedup_cold_open']:.0f}x "
       f"{s['budget_bytes'] / 2**20:.1f} MiB, fingerprints match")
 EOF
 
-echo "==> Tool smoke: pathloss_db_tool generate / info / verify / migrate-v3"
-# generate writes v3, info reads its directory, verify checks every tilt-0
-# matrix against a fresh build (same --seed / --region-km). migrate-v3
-# turns a copy of the committed v2 fixture into a file info reports as v3,
-# and a second migrate-v3 leaves it alone.
+echo "==> Tool smoke: pathloss_db_tool generate / info / verify"
+# generate writes v3 with its coverage-index section, info reads the
+# header, directory and section header, verify checks every tilt-0 matrix
+# against a fresh build (same --seed / --region-km) and the stored index
+# against one built from the file's footprints.
 tool=./build/examples/pathloss_db_tool
 "$tool" --mode generate --db "$artifacts/tool.pldb" --region-km 3 >/dev/null
-"$tool" --mode info --db "$artifacts/tool.pldb" >/dev/null
-"$tool" --mode verify --db "$artifacts/tool.pldb" --region-km 3 >/dev/null
-cp tests/fixtures/pathloss_v2.pldb "$artifacts/v2.pldb"
-"$tool" --mode migrate-v3 --db "$artifacts/v2.pldb" >/dev/null
-info=$("$tool" --mode info --db "$artifacts/v2.pldb")
-grep -q "format: v3" <<<"$info" || { echo "migrated file is not v3"; exit 1; }
-again=$("$tool" --mode migrate-v3 --db "$artifacts/v2.pldb")
-grep -q "already v3" <<<"$again" || { echo "second migrate-v3 rewrote"; exit 1; }
-# A damaged v3 file is not a v2 file: migrate-v3 must report the probe's
-# own error (a generate output cut by 100 bytes is a torn payload), exit 1.
+info=$("$tool" --mode info --db "$artifacts/tool.pldb")
+grep -q "format: v3" <<<"$info" || { echo "generated file is not v3"; exit 1; }
+grep -q "coverage index: .* entries over" <<<"$info" ||
+  { echo "info shows no coverage-index section: $info"; exit 1; }
+verified=$("$tool" --mode verify --db "$artifacts/tool.pldb" --region-km 3)
+grep -q "Coverage index: checked, equals" <<<"$verified" ||
+  { echo "stored coverage index not verified: $verified"; exit 1; }
+# A generate output cut by 100 bytes is a torn payload: verify must report
+# the open's error and exit 1.
 size=$(stat -c %s "$artifacts/tool.pldb")
 head -c $(( size - 100 )) "$artifacts/tool.pldb" > "$artifacts/torn.pldb"
 set +e
-torn=$("$tool" --mode migrate-v3 --db "$artifacts/torn.pldb" 2>&1)
+torn=$("$tool" --mode verify --db "$artifacts/torn.pldb" --region-km 3 2>&1)
 torn_status=$?
 set -e
-[[ $torn_status -eq 1 ]] || { echo "torn migrate-v3 exit $torn_status"; exit 1; }
+[[ $torn_status -eq 1 ]] || { echo "torn verify exit $torn_status"; exit 1; }
 grep -q "torn payload" <<<"$torn" || { echo "torn file misreported: $torn"; exit 1; }
-echo "tool smoke OK: generate/info/verify exit 0, v2 fixture migrated to v3," \
-  "torn v3 reported"
+echo "tool smoke OK: generate/info/verify exit 0, stored index equals a" \
+  "fresh build, torn v3 reported"
 
 echo "==> Profiler smoke: --profile attribution report"
 # The profile run reuses the micro-model summary workload (serial +
@@ -333,11 +333,13 @@ echo "==> Crash-injection harness under ASan + UBSan"
 # journal record boundary, resume from the write-ahead log, and fail on
 # any divergence from the uninterrupted run (trace, final configuration,
 # or a re-pushed confirmed step). The journal fuzz (truncation at every
-# byte offset) rides along in the same filter.
+# byte offset) and the path-loss file's coverage-index section sweep
+# (byte flips, page cuts, payload_end moved) ride along in the same
+# filter.
 ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   ./build-sanitize/tests/magus_tests \
-    --gtest_filter='RecoveryTest.*:CampaignTest.*:JournalTest.*'
+    --gtest_filter='RecoveryTest.*:CampaignTest.*:JournalTest.*:IndexSectionFuzz.*'
 
 echo "==> ThreadSanitizer build + parallel tests (TSan)"
 # magus_parallel_tests includes exec_recovery_parallel_test: the campaign

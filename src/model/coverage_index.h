@@ -23,17 +23,25 @@
 // only top-2 re-ranking, whose result under beats() (stronger signal, then
 // lower id) is a strict total order and so independent of scan order.
 //
+// Storage: the index is a view over seven arrays. A build() owns them in
+// its own vectors; a bind() reads them in place from a path-loss file's
+// coverage-index section (pathloss/format.h), which
+// PathLossDatabase::save() writes from this same builder — so a bound
+// index equals a built one byte for byte, and index_bytes() reads the same.
+//
 // Thread-safety: build on the driver thread before parallel evaluation
 // begins; afterwards the index is immutable and shared read-only by every
 // EvalContext clone (the same contract as the rest of MarketContext).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geo/grid_map.h"
 #include "net/network.h"
 #include "pathloss/database.h"
+#include "pathloss/format.h"
 #include "radio/antenna.h"
 
 namespace magus::model {
@@ -42,18 +50,51 @@ class CoverageIndex {
  public:
   /// The one tilt the index holds: every sector's tilt in
   /// net::Network::default_configuration.
-  static constexpr radio::TiltIndex kTilt = 0;
+  static constexpr radio::TiltIndex kTilt = pathloss::format::kIndexTilt;
 
-  /// Builds the index from the provider's kTilt footprints (driver thread
-  /// only). All gains are copied into the index.
+  /// Builds the index from the provider's kTilt footprints of every
+  /// network sector (driver thread only). All gains are copied into the
+  /// index.
   [[nodiscard]] static CoverageIndex build(
       const net::Network& network, pathloss::PathLossProvider& provider);
+  /// Builds the index over `footprints[i]`, the kTilt footprint of
+  /// `sectors[i]`, on a grid_cols x grid_rows grid. Sector ids must be
+  /// strictly ascending (std::invalid_argument otherwise). This is the
+  /// builder PathLossDatabase::save() runs over its tilt-0 entries.
+  [[nodiscard]] static CoverageIndex build(
+      std::span<const net::SectorId> sectors,
+      std::span<const pathloss::SectorFootprint* const> footprints,
+      std::int32_t grid_cols, std::int32_t grid_rows);
+  /// Binds a checked coverage-index section zero-copy: the index reads the
+  /// section's arrays in place, so their owner (the path-loss provider)
+  /// must outlive it.
+  [[nodiscard]] static CoverageIndex bind(
+      const pathloss::format::IndexSection& section);
+  /// True when `section` was built over exactly the network's sectors, in
+  /// order — the one case where binding it equals building.
+  [[nodiscard]] static bool binds_to(
+      const pathloss::format::IndexSection& section,
+      const net::Network& network);
+
+  CoverageIndex(CoverageIndex&&) noexcept = default;
+  CoverageIndex& operator=(CoverageIndex&&) noexcept = default;
+  CoverageIndex(const CoverageIndex&) = delete;
+  CoverageIndex& operator=(const CoverageIndex&) = delete;
+
+  /// True when the arrays live in a path-loss file, not in this object (a
+  /// build always owns at least the one-element row_start).
+  [[nodiscard]] bool bound() const { return storage_.row_start.empty(); }
+  /// The seven arrays as a section view; `sectors` is the bound section's
+  /// list, empty after a build.
+  [[nodiscard]] const pathloss::format::IndexSection& arrays() const {
+    return view_;
+  }
 
   [[nodiscard]] std::int32_t cell_count() const {
-    return static_cast<std::int32_t>(row_start_.size()) - 1;
+    return static_cast<std::int32_t>(view_.row_start.size()) - 1;
   }
   [[nodiscard]] std::size_t entry_count() const {
-    return entry_sector_.size();
+    return view_.entry_sector.size();
   }
 
   /// The cover span of one cell. `first` is the global entry offset of the
@@ -65,8 +106,9 @@ class CoverageIndex {
   };
   [[nodiscard]] Row row(geo::GridIndex g) const {
     const auto i = static_cast<std::size_t>(g);
-    const std::uint32_t first = row_start_[i];
-    return {entry_sector_.data() + first, first, row_start_[i + 1] - first};
+    const std::uint32_t first = view_.row_start[i];
+    return {view_.entry_sector.data() + first, first,
+            view_.row_start[i + 1] - first};
   }
 
   /// True when a sector at `tilt` is served by the index; a false return
@@ -74,12 +116,12 @@ class CoverageIndex {
   [[nodiscard]] static bool tilt_indexed(int tilt) { return tilt == kTilt; }
 
   /// dB gain per global entry offset.
-  [[nodiscard]] const float* gains() const { return gain_.data(); }
+  [[nodiscard]] const float* gains() const { return view_.gain.data(); }
   /// Linear twin of gains(): 10^(gain/10) per entry, copied bit-for-bit
   /// from the footprints' precomputed linear windows, so recompute_top2
   /// re-forms a winner's mW contribution with a multiply instead of pow,
   /// bit-equal to what the sector-major sweeps added.
-  [[nodiscard]] const float* linear() const { return linear_.data(); }
+  [[nodiscard]] const float* linear() const { return view_.linear.data(); }
 
   /// The cover span of one cell reordered by descending gain, sector id
   /// ascending on ties: power_cap + bounds[k] bounds every received power
@@ -96,44 +138,59 @@ class CoverageIndex {
   };
   [[nodiscard]] RankedRow ranked_row(geo::GridIndex g) const {
     const auto i = static_cast<std::size_t>(g);
-    const std::uint32_t first = row_start_[i];
-    return {ranked_sector_.data() + first, ranked_col_.data() + first,
-            ranked_bound_.data() + first, row_start_[i + 1] - first};
+    const std::uint32_t first = view_.row_start[i];
+    return {view_.ranked_sector.data() + first,
+            view_.ranked_col.data() + first,
+            view_.ranked_bound.data() + first,
+            view_.row_start[i + 1] - first};
   }
 
   /// Raw CSR / ranked arrays for the SIMD sweeps' gathers. All row offsets
-  /// and entry counts fit int32 (build() rejects more entries), so the
-  /// uint32 arrays may be reinterpreted as int32 lanes.
+  /// and entry counts fit int32 (build() and the section check reject
+  /// more entries), so the uint32 arrays may be reinterpreted as int32
+  /// lanes.
   [[nodiscard]] const std::uint32_t* row_starts() const {
-    return row_start_.data();
+    return view_.row_start.data();
   }
   [[nodiscard]] const std::int32_t* ranked_sectors() const {
-    return ranked_sector_.data();
+    return view_.ranked_sector.data();
   }
   [[nodiscard]] const std::uint32_t* ranked_cols() const {
-    return ranked_col_.data();
+    return view_.ranked_col.data();
   }
   [[nodiscard]] const float* ranked_bounds() const {
-    return ranked_bound_.data();
+    return view_.ranked_bound.data();
   }
 
-  /// Heap bytes held by the index (reported as the model.index.bytes
-  /// gauge and by MarketContext::index_bytes()).
-  [[nodiscard]] std::size_t index_bytes() const { return bytes_; }
+  /// Bytes of the seven arrays, whether built into the heap or bound from
+  /// a file (reported as the model.index.bytes gauge and by
+  /// MarketContext::index_bytes(); the fleet store charges it either way).
+  [[nodiscard]] std::size_t index_bytes() const {
+    return view_.array_bytes();
+  }
 
  private:
   CoverageIndex() = default;
+  /// Sets the model.index.bytes / model.index.entries gauges.
+  void publish_gauges() const;
 
-  std::vector<std::uint32_t> row_start_;    ///< cells + 1
-  std::vector<std::int32_t> entry_sector_;  ///< ascending per row
-  std::vector<float> gain_;                 ///< per entry, dB
-  std::vector<float> linear_;               ///< per entry, linear
-  // Ranked layout (see ranked_row): per-row permutation of the CSR span by
-  // descending gain, sector id ascending on ties.
-  std::vector<std::int32_t> ranked_sector_;
-  std::vector<std::uint32_t> ranked_col_;
-  std::vector<float> ranked_bound_;
-  std::size_t bytes_ = 0;
+  /// A build's own arrays; empty when bound.
+  struct Storage {
+    std::vector<std::uint32_t> row_start;    ///< cells + 1
+    std::vector<std::int32_t> entry_sector;  ///< ascending per row
+    std::vector<float> gain;                 ///< per entry, dB
+    std::vector<float> linear;               ///< per entry, linear
+    // Ranked layout (see ranked_row): per-row permutation of the CSR span
+    // by descending gain, sector id ascending on ties.
+    std::vector<std::int32_t> ranked_sector;
+    std::vector<std::uint32_t> ranked_col;
+    std::vector<float> ranked_bound;
+  };
+  Storage storage_;
+  /// What every accessor reads: storage_'s arrays, or a file's section.
+  /// Moving the index moves storage_'s heap buffers, so the view stays
+  /// valid.
+  pathloss::format::IndexSection view_;
 };
 
 }  // namespace magus::model

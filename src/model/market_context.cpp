@@ -26,8 +26,14 @@ void MarketContext::set_ue_density(std::vector<double> density) {
 }
 
 void MarketContext::build_coverage_index() {
-  index_ = std::make_unique<CoverageIndex>(
-      CoverageIndex::build(*network_, *provider_));
+  const pathloss::format::IndexSection* section =
+      provider_->coverage_section();
+  if (section != nullptr && CoverageIndex::binds_to(*section, *network_)) {
+    index_ = std::make_unique<CoverageIndex>(CoverageIndex::bind(*section));
+  } else {
+    index_ = std::make_unique<CoverageIndex>(
+        CoverageIndex::build(*network_, *provider_));
+  }
 }
 
 void MarketContext::ensure_coverage_index() {

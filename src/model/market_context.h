@@ -62,25 +62,34 @@ class MarketContext {
 
   // ---- Grid-major inverted coverage index (see coverage_index.h) ----
 
-  /// Builds (or rebuilds) the coverage index. Driver-thread only; must not
-  /// race with parallel evaluation — EvalContexts hold raw pointers into
-  /// the index, so rebuild only while no context has it bound
-  /// (ParallelEvaluator builds it up front).
+  /// Builds (or rebuilds) the coverage index. When the provider stores a
+  /// coverage-index section built over exactly this network's sectors
+  /// (PathLossProvider::coverage_section, checked on that first request),
+  /// the index binds it zero-copy instead; otherwise — an in-memory
+  /// provider, a file without the section, another sector list, or a
+  /// decorator that does not forward the section — it is built from the
+  /// footprints. Either way the arrays are the same bytes. Throws when the
+  /// stored section is damaged. Driver-thread only; must not race with
+  /// parallel evaluation — EvalContexts hold raw pointers into the index,
+  /// so rebuild only while no context has it bound (ParallelEvaluator
+  /// builds it up front).
   void build_coverage_index();
-  /// Builds the index iff it does not exist yet.
+  /// Builds (or binds) the index iff it does not exist yet.
   void ensure_coverage_index();
   /// The shared index, or nullptr before the first build.
   [[nodiscard]] const CoverageIndex* coverage_index() const {
     return index_.get();
   }
-  /// Heap bytes held by the index (0 before the first build); surfaced in
-  /// the model.index.bytes gauge of --metrics snapshots.
+  /// Bytes of the index's arrays (0 before the first build), built or
+  /// bound; surfaced in the model.index.bytes gauge of --metrics
+  /// snapshots.
   [[nodiscard]] std::size_t index_bytes() const {
     return index_ ? index_->index_bytes() : 0;
   }
 
-  /// Heap bytes held by the context itself (frozen UE density + coverage
-  /// index). The path-loss provider's footprints are accounted separately
+  /// Bytes held by the context itself (frozen UE density + coverage
+  /// index; a bound index is charged its arrays' length, like a built
+  /// one). The path-loss provider's footprints are accounted separately
   /// by their owner; the fleet MarketStore adds both when charging a
   /// resident market against its byte budget.
   [[nodiscard]] std::size_t resident_bytes() const {

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "model/coverage_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pathloss/format.h"
@@ -119,6 +121,17 @@ PathLossDatabase::Probe PathLossDatabase::probe(const std::string& path) {
     }
     result.resident_bytes_estimate =
         result.mapped_bytes_estimate + result.heap_bytes_estimate;
+    if (dir.has_index_section() && dir.payload_end >= dir.index_offset()) {
+      result.index_offset = dir.index_offset();
+      result.index_section_bytes = dir.payload_end - dir.index_offset();
+      if (result.index_section_bytes >= format::kIndexHeaderBytes) {
+        std::byte header[format::kIndexHeaderBytes];
+        std::ifstream in(path, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(result.index_offset));
+        in.read(reinterpret_cast<char*>(header), sizeof header);
+        if (in) result.index_header = format::read_index_header(header);
+      }
+    }
     result.ok = true;
   } catch (const std::runtime_error& error) {
     result.error = error.what();
@@ -153,6 +166,27 @@ void PathLossDatabase::save(const std::string& path,
     if (window_bytes == 0) continue;
     offsets[i] = format::align_up_page(payload_end);
     payload_end = offsets[i] + window_bytes;
+  }
+
+  // The coverage-index section, over the tilt-0 entries in ascending
+  // sector id (the map's key order), on the page after the last plane.
+  std::vector<net::SectorId> index_sectors;
+  std::vector<const SectorFootprint*> index_footprints;
+  for (const auto* item : items) {
+    if (item->first.second != format::kIndexTilt) continue;
+    index_sectors.push_back(item->first.first);
+    index_footprints.push_back(&item->second);
+  }
+  std::optional<model::CoverageIndex> index;
+  format::IndexSection section;
+  std::uint64_t index_offset = 0;
+  if (!index_sectors.empty()) {
+    index.emplace(model::CoverageIndex::build(
+        index_sectors, index_footprints, grid_.cols(), grid_.rows()));
+    section = index->arrays();
+    section.sectors = index_sectors;
+    index_offset = format::align_up_page(payload_end);
+    payload_end = index_offset + section.section_bytes();
   }
 
   // The checksums are the expensive part; fan them out per entry.
@@ -206,19 +240,26 @@ void PathLossDatabase::save(const std::string& path,
 
     const std::vector<char> zeros(format::kPageBytes, 0);
     std::uint64_t written = dir_end;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const auto window = items[i]->second.window();
-      if (window.empty()) continue;
-      std::uint64_t pad = offsets[i] - written;
+    const auto pad_to = [&](std::uint64_t offset) {
+      std::uint64_t pad = offset - written;
       while (pad > 0) {
         const auto chunk = static_cast<std::streamsize>(
             std::min<std::uint64_t>(pad, zeros.size()));
         out.write(zeros.data(), chunk);
         pad -= static_cast<std::uint64_t>(chunk);
       }
+    };
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const auto window = items[i]->second.window();
+      if (window.empty()) continue;
+      pad_to(offsets[i]);
       out.write(reinterpret_cast<const char*>(window.data()),
                 static_cast<std::streamsize>(window.size() * sizeof(float)));
       written = offsets[i] + window.size() * sizeof(float);
+    }
+    if (index) {
+      pad_to(index_offset);
+      format::write_index_section(out, section);
     }
     out.close();
     if (!out) {
@@ -246,6 +287,9 @@ PathLossDatabase PathLossDatabase::load(const std::string& path) {
     db.entries_.emplace(Key{sector, tilt},
                         mapped.footprint(sector, tilt).to_owned());
   }
+  // An eager load checks every byte it was promised: the coverage-index
+  // section too, though the in-memory database does not keep it.
+  (void)mapped.coverage_section();
   return db;
 }
 

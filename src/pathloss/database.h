@@ -19,6 +19,7 @@
 #include "net/network.h"
 #include "pathloss/builder.h"
 #include "pathloss/footprint.h"
+#include "pathloss/format.h"
 #include "pathloss/tilt_delta.h"
 
 namespace magus::pathloss {
@@ -35,6 +36,17 @@ class PathLossProvider {
   [[nodiscard]] virtual const SectorFootprint& footprint(
       net::SectorId sector, radio::TiltIndex tilt) = 0;
   [[nodiscard]] virtual const geo::GridMap& grid() const = 0;
+
+  /// The coverage-index section stored with the footprints (see
+  /// pathloss/format.h), or nullptr when the provider has none — the
+  /// model then builds the index from footprint(). A provider that checks
+  /// its section lazily does so here and throws std::runtime_error when it
+  /// is damaged. Driver-thread only, like the index build it replaces. A
+  /// decorator that does not override this hides the section, and the
+  /// model builds.
+  [[nodiscard]] virtual const format::IndexSection* coverage_section() {
+    return nullptr;
+  }
 };
 
 /// Fully materialized database, e.g. loaded from disk.
@@ -64,9 +76,12 @@ class PathLossDatabase final : public PathLossProvider {
 
   /// Writes the v3 page-aligned format (pathloss/format.h): header +
   /// checksummed directory + page-aligned raw gain planes, with a per-entry
-  /// FNV-1a checksum over geometry and gain bytes. `threads` fans the
-  /// checksums out across a util::ThreadPool (0 = hardware concurrency);
-  /// the bytes are identical for any thread count. The file is written as
+  /// FNV-1a checksum over geometry and gain bytes, then — when any tilt-0
+  /// entry exists — the coverage-index section, built by
+  /// model::CoverageIndex::build over the tilt-0 entries in ascending
+  /// sector id. `threads` fans the checksums out across a util::ThreadPool
+  /// (0 = hardware concurrency); the bytes are identical for any thread
+  /// count. The file is written as
   /// `<path>.tmp` in the same directory and then renamed over `path`, so a
   /// MappedPathLossDatabase still open on the old file keeps reading the
   /// old bytes instead of a truncated inode. Throws std::runtime_error when
@@ -75,21 +90,23 @@ class PathLossDatabase final : public PathLossProvider {
 
   /// Eager load of a v3 file: a MappedPathLossDatabase open, a touch of
   /// every entry (which verifies every entry checksum), then owned copies
-  /// of the touched footprints — gain windows and their linear twins. A
+  /// of the touched footprints — gain windows and their linear twins —
+  /// and a check of the coverage-index section, which is not kept. A
   /// truncated, bit-flipped or otherwise damaged file is rejected with a
   /// specific std::runtime_error message ("truncated header", "bad magic",
   /// "unsupported version", "oversized window", "does not fit the grid",
   /// "truncated directory", "torn payload", "trailing bytes",
-  /// "checksum mismatch") instead of being silently mis-read into the
-  /// model.
+  /// "checksum mismatch", "coverage index") instead of being silently
+  /// mis-read into the model.
   [[nodiscard]] static PathLossDatabase load(const std::string& path);
 
   /// Header-and-directory summary of a v3 file, read without loading (or
   /// checksumming) any gain bytes — the same bytes, through the same
-  /// format::read_v3, as a MappedPathLossDatabase open. A file that fails
-  /// structurally probes as !ok with the open's message (a v2 file's
-  /// message names `pathloss_db_tool --mode migrate-v3`); checksum
-  /// corruption is only caught by a touch.
+  /// format::read_v3, as a MappedPathLossDatabase open, plus the
+  /// coverage-index section's header. A file that fails structurally
+  /// probes as !ok with the open's message (an older version's message
+  /// says to regenerate the file); checksum corruption is only caught by a
+  /// touch, and a damaged section by its first request.
   struct Probe {
     bool ok = false;
     std::string error;        ///< the open's message, when !ok
@@ -110,6 +127,11 @@ class PathLossDatabase final : public PathLossProvider {
     std::size_t mapped_bytes_estimate = 0;
     /// ...vs bytes it heap-allocates at full residency (the linear twins).
     std::size_t heap_bytes_estimate = 0;
+    /// The coverage-index section: its offset and length (0 when the file
+    /// has none) and its header's counts, unchecked.
+    std::uint64_t index_offset = 0;
+    std::uint64_t index_section_bytes = 0;
+    format::IndexHeader index_header;
   };
   [[nodiscard]] static Probe probe(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace magus::pathloss::format {
@@ -25,6 +26,15 @@ struct Cursor {
   }
 };
 
+/// The next `count` elements at `cursor` as a span; advances the cursor.
+template <typename T>
+[[nodiscard]] std::span<const T> take(const std::byte*& cursor,
+                                      std::size_t count) {
+  const std::span<const T> span{reinterpret_cast<const T*>(cursor), count};
+  cursor += span.size_bytes();
+  return span;
+}
+
 }  // namespace
 
 V3Directory parse_v3(const char* data, std::size_t available,
@@ -44,7 +54,7 @@ V3Directory parse_v3(const char* data, std::size_t available,
         "PathLossDatabase: unsupported version " + std::to_string(version) +
         " (expected " + std::to_string(kVersionMapped) + ") in " + path +
         (version < kVersionMapped
-             ? "; convert it with pathloss_db_tool --mode migrate-v3"
+             ? "; regenerate the file from its seed"
              : ""));
   }
   cursor.read(dir.min_x, "truncated header in " + path);
@@ -96,6 +106,7 @@ V3Directory parse_v3(const char* data, std::size_t available,
                              path);
   }
 
+  dir.planes_end = dir_end;
   dir.entries.reserve(static_cast<std::size_t>(dir.entry_count));
   for (std::uint64_t e = 0; e < dir.entry_count; ++e) {
     const std::string entry_context = "entry " + std::to_string(e) + " of " +
@@ -136,6 +147,8 @@ V3Directory parse_v3(const char* data, std::size_t available,
         throw std::runtime_error("PathLossDatabase: truncated " +
                                  entry_context + " in " + path);
       }
+      dir.planes_end = std::max<std::uint64_t>(
+          dir.planes_end, entry.data_offset + entry.window_bytes);
     }
     dir.entries.push_back(entry);
   }
@@ -171,6 +184,167 @@ V3Directory read_v3(const std::string& path, std::size_t& file_bytes) {
     }
   }
   return parse_v3(front.data(), front.size(), file_bytes, path);
+}
+
+std::size_t IndexSection::array_bytes() const {
+  return row_start.size_bytes() + entry_sector.size_bytes() +
+         gain.size_bytes() + linear.size_bytes() +
+         ranked_sector.size_bytes() + ranked_col.size_bytes() +
+         ranked_bound.size_bytes();
+}
+
+bool same_arrays(const IndexSection& a, const IndexSection& b) {
+  const auto same = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+  };
+  return same(a.row_start, b.row_start) &&
+         same(a.entry_sector, b.entry_sector) && same(a.gain, b.gain) &&
+         same(a.linear, b.linear) && same(a.ranked_sector, b.ranked_sector) &&
+         same(a.ranked_col, b.ranked_col) &&
+         same(a.ranked_bound, b.ranked_bound);
+}
+
+std::uint64_t index_checksum(const IndexSection& section) {
+  const std::uint64_t counts[] = {
+      section.row_start.empty() ? 0 : section.row_start.size() - 1,
+      section.entry_sector.size(), section.sectors.size()};
+  std::uint64_t hash = util::hash64(counts, sizeof counts);
+  const auto chain = [&hash](auto span) {
+    hash = util::hash64(span.data(), span.size_bytes(), hash);
+  };
+  chain(section.sectors);
+  chain(section.row_start);
+  chain(section.entry_sector);
+  chain(section.gain);
+  chain(section.linear);
+  chain(section.ranked_sector);
+  chain(section.ranked_col);
+  chain(section.ranked_bound);
+  return hash;
+}
+
+void write_index_section(std::ostream& out, const IndexSection& section) {
+  const std::uint64_t header[] = {
+      kIndexTag, index_checksum(section),
+      section.row_start.empty() ? 0 : section.row_start.size() - 1,
+      section.entry_sector.size(), section.sectors.size()};
+  static_assert(sizeof header == kIndexHeaderBytes);
+  out.write(reinterpret_cast<const char*>(header), sizeof header);
+  const auto put = [&out](auto span) {
+    out.write(reinterpret_cast<const char*>(span.data()),
+              static_cast<std::streamsize>(span.size_bytes()));
+  };
+  put(section.sectors);
+  put(section.row_start);
+  put(section.entry_sector);
+  put(section.gain);
+  put(section.linear);
+  put(section.ranked_sector);
+  put(section.ranked_col);
+  put(section.ranked_bound);
+}
+
+IndexHeader read_index_header(const std::byte* data) {
+  IndexHeader header;
+  std::memcpy(&header.tag, data, 8);
+  std::memcpy(&header.checksum, data + 8, 8);
+  std::memcpy(&header.cells, data + 16, 8);
+  std::memcpy(&header.entries, data + 24, 8);
+  std::memcpy(&header.sectors, data + 32, 8);
+  return header;
+}
+
+IndexSection parse_index_section(const std::byte* data, std::uint64_t bytes,
+                                 std::int64_t grid_cells,
+                                 std::span<const std::int32_t> tilt0_sectors,
+                                 const std::string& path) {
+  const auto fail = [&path](const std::string& what) {
+    return std::runtime_error("PathLossDatabase: coverage index " + what +
+                              " in " + path);
+  };
+  if (bytes < kIndexHeaderBytes) {
+    throw fail("section truncated (" + std::to_string(bytes) + " bytes)");
+  }
+  const IndexHeader header = read_index_header(data);
+  if (header.tag != kIndexTag) throw fail("bad tag");
+  if (grid_cells < 0 || header.cells != static_cast<std::uint64_t>(grid_cells)) {
+    throw fail("cell count " + std::to_string(header.cells) +
+               " does not match the grid's " + std::to_string(grid_cells));
+  }
+  // The counts must spell out exactly the section's length. Each step
+  // divides before it multiplies, so a damaged count cannot overflow.
+  const std::uint64_t body = bytes - kIndexHeaderBytes;
+  const std::uint64_t row_bytes = (header.cells + 1) * 4;
+  const bool fits =
+      header.sectors <= body / 4 && body - header.sectors * 4 >= row_bytes &&
+      header.entries <= (body - header.sectors * 4 - row_bytes) / 24 &&
+      body - header.sectors * 4 - row_bytes == header.entries * 24;
+  if (!fits) {
+    throw fail("length " + std::to_string(bytes) +
+               " does not match its counts (" + std::to_string(header.cells) +
+               " cells, " + std::to_string(header.entries) + " entries, " +
+               std::to_string(header.sectors) + " sectors)");
+  }
+  if (header.entries >
+      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw fail("entries exceed int32 indexing");
+  }
+
+  const auto cells = static_cast<std::size_t>(header.cells);
+  const auto entries = static_cast<std::size_t>(header.entries);
+  const std::byte* cursor = data + kIndexHeaderBytes;
+  IndexSection section;
+  section.sectors =
+      take<std::int32_t>(cursor, static_cast<std::size_t>(header.sectors));
+  section.row_start = take<std::uint32_t>(cursor, cells + 1);
+  section.entry_sector = take<std::int32_t>(cursor, entries);
+  section.gain = take<float>(cursor, entries);
+  section.linear = take<float>(cursor, entries);
+  section.ranked_sector = take<std::int32_t>(cursor, entries);
+  section.ranked_col = take<std::uint32_t>(cursor, entries);
+  section.ranked_bound = take<float>(cursor, entries);
+
+  if (index_checksum(section) != header.checksum) {
+    throw fail("checksum mismatch");
+  }
+  if (!std::equal(section.sectors.begin(), section.sectors.end(),
+                  tilt0_sectors.begin(), tilt0_sectors.end())) {
+    throw fail("sector list does not match the file's tilt-0 entries");
+  }
+  const std::uint32_t* row_start = section.row_start.data();
+  if (row_start[0] != 0 || row_start[cells] != entries) {
+    throw fail("row starts do not run from 0 to the entry count");
+  }
+  for (std::size_t g = 0; g < cells; ++g) {
+    if (row_start[g + 1] < row_start[g]) {
+      throw fail("row starts are not monotone (cell " + std::to_string(g) +
+                 ")");
+    }
+  }
+  const std::uint32_t* ranked_col = section.ranked_col.data();
+  for (std::size_t g = 0; g < cells; ++g) {
+    const std::uint32_t lo = row_start[g];
+    const std::uint32_t hi = row_start[g + 1];
+    for (std::uint32_t e = lo; e < hi; ++e) {
+      if (ranked_col[e] < lo || ranked_col[e] >= hi) {
+        throw fail("ranked column outside its row (cell " +
+                   std::to_string(g) + ")");
+      }
+    }
+  }
+  // Sector ids index per-sector arrays in the model: each must lie within
+  // the listed range (an empty list admits none).
+  const std::int32_t lo = section.sectors.empty() ? 1 : section.sectors.front();
+  const std::int32_t hi = section.sectors.empty() ? 0 : section.sectors.back();
+  bool in_range = true;
+  for (std::size_t e = 0; e < entries; ++e) {
+    const std::int32_t a = section.entry_sector[e];
+    const std::int32_t b = section.ranked_sector[e];
+    in_range &= a >= lo && a <= hi && b >= lo && b <= hi;
+  }
+  if (!in_range) throw fail("sector id out of range");
+  return section;
 }
 
 }  // namespace magus::pathloss::format

@@ -30,6 +30,8 @@ struct MmapMetrics {
   obs::Counter& checksum_failures;
   obs::Counter& releases;
   obs::Counter& released_bytes;
+  obs::Counter& index_checks;
+  obs::Counter& index_failures;
   obs::Gauge& resident_bytes;
 
   [[nodiscard]] static MmapMetrics& get() {
@@ -41,6 +43,8 @@ struct MmapMetrics {
         registry.counter("pathloss.mmap.checksum_failures"),
         registry.counter("pathloss.mmap.releases"),
         registry.counter("pathloss.mmap.released_bytes"),
+        registry.counter("pathloss.mmap.index_checks"),
+        registry.counter("pathloss.mmap.index_failures"),
         registry.gauge("pathloss.mmap.resident_bytes"),
     };
     return metrics;
@@ -235,6 +239,49 @@ void MappedPathLossDatabase::materialize(Entry& entry) {
   metrics.touch_bytes.add(meta.window_bytes);
   metrics.resident_bytes.set(static_cast<double>(now));
   entry.ready.store(true, std::memory_order_release);
+}
+
+const format::IndexSection* MappedPathLossDatabase::coverage_section() {
+  if (section_ready_.load(std::memory_order_acquire)) return &section_;
+  if (!dir_.has_index_section()) return nullptr;
+  const std::lock_guard lock{section_mutex_};
+  if (section_ready_.load(std::memory_order_relaxed)) return &section_;
+
+  MAGUS_TRACE_SPAN("pathloss.index_check", "io.db");
+  // parse_v3 proved payload_end == file size, so the section lies inside
+  // the mapping; a payload_end short of the section start leaves it no
+  // bytes, which the parse reports as truncated.
+  const std::uint64_t offset = dir_.index_offset();
+  const std::uint64_t bytes =
+      dir_.payload_end - std::min(dir_.payload_end, offset);
+  const std::byte* data = nullptr;
+  if (map_ != nullptr) {
+    data = map_ + std::min<std::uint64_t>(offset, map_length_);
+  } else {
+    section_buffer_.resize(static_cast<std::size_t>((bytes + 7) / 8));
+    if (bytes > 0 &&
+        !read_plane(offset, reinterpret_cast<char*>(section_buffer_.data()),
+                    static_cast<std::size_t>(bytes))) {
+      section_buffer_ = std::vector<std::uint64_t>{};
+      throw std::runtime_error("PathLossDatabase: read failed in " + path_);
+    }
+    data = reinterpret_cast<const std::byte*>(section_buffer_.data());
+  }
+  std::vector<std::int32_t> tilt0_sectors;
+  for (const auto& [sector, tilt] : keys_) {
+    if (tilt == format::kIndexTilt) tilt0_sectors.push_back(sector);
+  }
+  try {
+    section_ = format::parse_index_section(data, bytes, grid_.cell_count(),
+                                           tilt0_sectors, path_);
+  } catch (const std::runtime_error&) {
+    MmapMetrics::get().index_failures.add(1);
+    section_buffer_ = std::vector<std::uint64_t>{};
+    throw;
+  }
+  MmapMetrics::get().index_checks.add(1);
+  section_ready_.store(true, std::memory_order_release);
+  return &section_;
 }
 
 const SectorFootprint& MappedPathLossDatabase::footprint(

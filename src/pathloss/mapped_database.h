@@ -37,6 +37,15 @@
 // The descriptor is opened with the provider and held until it closes, so
 // like a mapping it keeps serving the file it opened after a save()
 // renames another over the path.
+//
+// Coverage index: a file written by PathLossDatabase::save() carries the
+// model's coverage index as a tail section (pathloss/format.h). The first
+// coverage_section() request checks it — checksum, then structure — and
+// serves it zero-copy out of the mapping (one pread into a held buffer on
+// the fallback); the model binds it instead of building. The section is
+// never released: a bound index reads it for the provider's lifetime, and
+// the model charges it as the index's bytes, so resident_bytes() leaves
+// it out.
 #pragma once
 
 #include <atomic>
@@ -75,6 +84,12 @@ class MappedPathLossDatabase final : public PathLossProvider {
   [[nodiscard]] const SectorFootprint& footprint(
       net::SectorId sector, radio::TiltIndex tilt) override;
   [[nodiscard]] const geo::GridMap& grid() const override { return grid_; }
+
+  /// The checked coverage-index section, or nullptr when the file has
+  /// none. Checked once, on the first request; a damaged section throws
+  /// std::runtime_error naming "coverage index" and stays unchecked, so a
+  /// later request fails the same way.
+  [[nodiscard]] const format::IndexSection* coverage_section() override;
 
   [[nodiscard]] bool contains(net::SectorId sector,
                               radio::TiltIndex tilt) const;
@@ -148,6 +163,13 @@ class MappedPathLossDatabase final : public PathLossProvider {
 
   std::atomic<std::size_t> heap_bytes_{0};
   std::atomic<std::size_t> touched_{0};
+
+  std::mutex section_mutex_;
+  std::atomic<bool> section_ready_{false};
+  format::IndexSection section_;
+  /// The fallback's copy of the section (8-byte aligned); empty when
+  /// mapped.
+  std::vector<std::uint64_t> section_buffer_;
 };
 
 }  // namespace magus::pathloss

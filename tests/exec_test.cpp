@@ -306,13 +306,17 @@ TEST_F(ExecTest, CorruptedDatabaseFallsBackToRecomputeThenExecutes) {
   const std::string path = ::testing::TempDir() + "/magus_exec_pl.bin";
   db.save(path);
   {
-    // Flip one gain byte near the end of the file: checksum must catch it.
+    // Flip one byte near the end of the last gain plane (the
+    // coverage-index section follows it): checksum must catch it.
+    std::size_t file_bytes = 0;
+    const auto flip_at = static_cast<std::streamoff>(
+        pathloss::format::read_v3(path, file_bytes).planes_end - 3);
     std::fstream file(path,
                       std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(-3, std::ios::end);
+    file.seekg(flip_at);
     char byte = 0;
     file.read(&byte, 1);
-    file.seekp(-3, std::ios::end);
+    file.seekp(flip_at);
     byte = static_cast<char>(byte ^ 0x5A);
     file.write(&byte, 1);
   }

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 
 #include "exec/fault_injector.h"
 #include "fleet/wave_planner.h"
 #include "obs/metrics.h"
+#include "pathloss/format.h"
 #include "test_helpers.h"
 #include "util/checksum.h"
 
@@ -211,19 +213,27 @@ TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
 }
 
 TEST(MarketStore, V2FileIsRebuiltAsMappableV3) {
-  // The store opens v3 only: a v2 file (here the committed fixture, which
-  // `pathloss_db_tool --mode migrate-v3` would convert) is rebuilt, and
-  // the re-saved v3 file streams.
+  // The store opens v3 only: a file of an older version (here a v2 header)
+  // is regenerated from the market's seed, and the re-saved v3 file
+  // streams.
   const std::string dir = fresh_dir("fleet_store_v2");
   const StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(1));
   MarketStore store{specs, options};
-  std::filesystem::copy_file(MAGUS_V2_FIXTURE, store.db_path(0));
+  {
+    std::ofstream out(store.db_path(0), std::ios::binary);
+    const std::uint64_t magic = pathloss::format::kMagic;
+    const std::uint32_t version = 2;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+    out.write(reinterpret_cast<const char*>(&version), sizeof version);
+    out << std::string(64, '\0');
+  }
 
   const auto handle = store.acquire(0);
   EXPECT_TRUE(handle->rebuilt());
   EXPECT_TRUE(handle->streaming());
-  EXPECT_NE(handle->load_error().find("--mode migrate-v3"), std::string::npos)
+  EXPECT_NE(handle->load_error().find("unsupported version 2"),
+            std::string::npos)
       << handle->load_error();
   const auto probe = pathloss::PathLossDatabase::probe(store.db_path(0));
   ASSERT_TRUE(probe.ok) << probe.error;

@@ -401,8 +401,7 @@ TEST(Database, InsertValidatesGrid) {
 // Corruption fixtures for the v3 file save() writes: every failure mode
 // must be rejected by load() with its specific error message, and
 // load_or_rebuild must repair all of them from a fallback provider. (The
-// same cases for the retired v2 format run on the committed v2 fixture in
-// pathloss_v2_test.cpp.)
+// coverage-index section's cases are in pathloss_index_section_test.cpp.)
 class DatabaseCorruption : public ::testing::Test {
  protected:
   DatabaseCorruption()
@@ -438,6 +437,16 @@ class DatabaseCorruption : public ::testing::Test {
   void write_file(const std::string& bytes) const {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Offset of a byte inside the last gain plane (sector 0 tilt 1): the
+  /// coverage-index section follows the planes, so the file's own last
+  /// bytes are not gains.
+  [[nodiscard]] std::size_t last_plane_byte() const {
+    std::size_t file_bytes = 0;
+    return static_cast<std::size_t>(
+               format::read_v3(path_, file_bytes).planes_end) -
+           3;
   }
 
   /// Loads and returns the error message, failing the test on success.
@@ -495,7 +504,7 @@ TEST_F(DatabaseCorruption, UnsupportedVersionRejected) {
 }
 
 TEST_F(DatabaseCorruption, TruncatedEntryRejected) {
-  // Clipping the last gains leaves the file shorter than the payload end
+  // Clipping the file's last bytes leaves it shorter than the payload end
   // the header promises: a torn payload, caught at open.
   const std::string bytes = read_file();
   write_file(bytes.substr(0, bytes.size() - 2));
@@ -504,8 +513,8 @@ TEST_F(DatabaseCorruption, TruncatedEntryRejected) {
 
 TEST_F(DatabaseCorruption, BitFlipInGainsFailsChecksum) {
   std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
+  bytes[last_plane_byte()] =
+      static_cast<char>(bytes[last_plane_byte()] ^ 0x10);
   write_file(bytes);
   const std::string error = load_error();
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
@@ -538,8 +547,8 @@ TEST_F(DatabaseCorruption, TrailingBytesRejected) {
 
 TEST_F(DatabaseCorruption, LoadOrRebuildRepairsCorruptFile) {
   std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
+  bytes[last_plane_byte()] =
+      static_cast<char>(bytes[last_plane_byte()] ^ 0x10);
   write_file(bytes);
 
   const std::vector<net::SectorId> sectors = {0};
@@ -563,8 +572,8 @@ TEST_F(DatabaseCorruption, LoadOrRebuildParallelMatchesSerial) {
   // rebuild.
   const std::string corrupted = [&] {
     std::string bytes = read_file();
-    bytes[bytes.size() - 3] =
-        static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
+    bytes[last_plane_byte()] =
+        static_cast<char>(bytes[last_plane_byte()] ^ 0x10);
     return bytes;
   }();
   const std::vector<net::SectorId> sectors = {0};

@@ -18,7 +18,6 @@
 
 #include "pathloss/format.h"
 #include "pathloss/mapped_database.h"
-#include "pathloss/v2_reader.h"
 #include "test_helpers.h"
 
 namespace magus::pathloss {
@@ -43,11 +42,6 @@ void expect_same_linear(const SectorFootprint& a, const SectorFootprint& b) {
     ASSERT_EQ(la.size(), lb.size());
     EXPECT_EQ(0, std::memcmp(la.data(), lb.data(), la.size() * sizeof(float)));
   }
-}
-
-/// The (sector, tilt) keys of tests/fixtures/pathloss_v2.pldb.
-[[nodiscard]] std::vector<std::pair<int, int>> v2_fixture_keys() {
-  return {{0, 0}, {0, 1}, {3, -2}, {5, 0}};
 }
 
 class V3Format : public ::testing::Test {
@@ -100,22 +94,6 @@ class V3Format : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(V3Format, EagerLoadRoundTripsBitIdenticallyWithV2) {
-  // The committed v2 fixture, decoded by the v2 reader and saved as v3,
-  // loads back bit-identically: windows, linear twins and heap charge.
-  PathLossDatabase from_v2 = read_v2(MAGUS_V2_FIXTURE);
-  from_v2.save(path_);
-  PathLossDatabase from_v3 = PathLossDatabase::load(path_);
-  ASSERT_EQ(from_v3.entry_count(), from_v2.entry_count());
-  EXPECT_EQ(from_v3.resident_bytes(), from_v2.resident_bytes());
-  for (const auto& [sector, tilt] : v2_fixture_keys()) {
-    expect_bit_identical(from_v2.footprint(sector, tilt),
-                         from_v3.footprint(sector, tilt));
-    expect_same_linear(from_v2.footprint(sector, tilt),
-                       from_v3.footprint(sector, tilt));
-  }
-}
-
 TEST_F(V3Format, LoadOwnsCopiesOfTheMappedFootprints) {
   PathLossDatabase eager = PathLossDatabase::load(path_);
   MappedPathLossDatabase mapped{path_};
@@ -166,16 +144,21 @@ TEST_F(V3Format, ProbeSplitsMappedVsHeapResidency) {
   EXPECT_EQ(v3.resident_bytes_estimate,
             v3.mapped_bytes_estimate + v3.heap_bytes_estimate);
 
-  // A v2 file is not openable; the probe says how to convert it.
-  const auto v2 = PathLossDatabase::probe(MAGUS_V2_FIXTURE);
+  // An older version is not openable; the probe says to regenerate it.
+  std::string bytes = read_file();
+  const std::uint32_t old_version = 2;
+  std::memcpy(bytes.data() + sizeof(format::kMagic), &old_version,
+              sizeof old_version);
+  write_file(bytes);
+  const auto v2 = PathLossDatabase::probe(path_);
   EXPECT_FALSE(v2.ok);
   EXPECT_NE(v2.error.find("unsupported version 2"), std::string::npos)
       << v2.error;
-  EXPECT_NE(v2.error.find("pathloss_db_tool --mode migrate-v3"),
+  EXPECT_NE(v2.error.find("regenerate the file from its seed"),
             std::string::npos)
       << v2.error;
-  // A failed probe still reports the version it read, so the tool's
-  // migrate-v3 can tell an older format from a damaged v3 file.
+  // A failed probe still reports the version it read, so a caller can
+  // tell an older format from a damaged v3 file.
   EXPECT_EQ(v2.version, 2u);
 }
 
@@ -271,7 +254,9 @@ TEST_F(V3Format, SaveReplacesTheFileWithoutDisturbingALiveMapping) {
       throw;
     }
     ::unsetenv("MAGUS_NO_MMAP");
-    if (no_mmap) EXPECT_FALSE(old_handle->using_mmap());
+    if (no_mmap) {
+      EXPECT_FALSE(old_handle->using_mmap());
+    }
 
     PathLossDatabase smaller{grid_};
     std::vector<float> dense(12, std::numeric_limits<float>::quiet_NaN());

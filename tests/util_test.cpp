@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/args.h"
 #include "util/backoff.h"
+#include "util/checksum.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -390,6 +394,65 @@ TEST(Backoff, JitterInflatesWorstCaseAndValidatesRange) {
   Xoshiro256ss rng{1};
   EXPECT_THROW((void)bad.delay_before_attempt_s(1, rng),
                std::invalid_argument);
+}
+
+// hash64's value is part of the path-loss file format (the coverage-index
+// section checksum). The unseeded vectors are XXH64's published ones; the
+// seeded and bulk ones pin the chaining path and the 32-byte stripes.
+TEST(Hash64, KnownAnswerVectors) {
+  const auto h = [](const char* text) {
+    return hash64(text, std::strlen(text));
+  };
+  EXPECT_EQ(h(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(h("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(h("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(h("message digest"), 0x066ED728FCEEB3BEULL);
+  EXPECT_EQ(h("abcdefghijklmnopqrstuvwxyz"), 0xCFE1F278FA89835CULL);
+  EXPECT_EQ(h("1234567890123456789012345678901234567890"
+              "1234567890123456789012345678901234567890"),
+            0xE04A477F19EE145DULL);
+  EXPECT_EQ(hash64("abc", 3, 0x9E3779B97F4A7C15ULL), 0x2ED0F59D6B43AC8BULL);
+  std::vector<unsigned char> bulk(4096);
+  for (std::size_t i = 0; i < bulk.size(); ++i) {
+    bulk[i] = static_cast<unsigned char>(i * 31 + 7);
+  }
+  EXPECT_EQ(hash64(bulk.data(), bulk.size()), 0xE21174BE82DC78D9ULL);
+  EXPECT_EQ(hash64(bulk.data(), 4093, 42), 0x48518CD28BE42CB7ULL);
+}
+
+TEST(Hash64, EveryTailLengthIsDistinctAndAlignmentFree) {
+  // Lengths 0..64 cover the no-stripe path, one and two stripes, and every
+  // 8/4/1-byte tail. Each length hashes to its own value, at any alignment.
+  std::vector<unsigned char> source(64 + 8);
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    source[i] = static_cast<unsigned char>(i * 131 + 17);
+  }
+  std::set<std::uint64_t> seen;
+  for (std::size_t length = 0; length <= 64; ++length) {
+    const std::uint64_t aligned = hash64(source.data(), length);
+    EXPECT_TRUE(seen.insert(aligned).second) << "length " << length;
+    for (std::size_t shift = 1; shift < 8; ++shift) {
+      std::vector<unsigned char> moved(length + shift);
+      std::memcpy(moved.data() + shift, source.data(), length);
+      EXPECT_EQ(hash64(moved.data() + shift, length), aligned)
+          << "length " << length << " shift " << shift;
+    }
+  }
+}
+
+TEST(Hash64, EverySingleBitFlipOfA4KiBBufferChangesIt) {
+  std::vector<unsigned char> buffer(4096);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 7 + 3);
+  }
+  const std::uint64_t pristine = hash64(buffer.data(), buffer.size());
+  int unchanged = 0;
+  for (std::size_t bit = 0; bit < buffer.size() * 8; ++bit) {
+    buffer[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    unchanged += hash64(buffer.data(), buffer.size()) == pristine ? 1 : 0;
+    buffer[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  EXPECT_EQ(unchanged, 0);
 }
 
 }  // namespace
